@@ -4,7 +4,7 @@
 //! E11 showed the queue-pair engine extracting device parallelism from
 //! raw page commands. This experiment asks whether that parallelism
 //! survives the trip up the host stack: an OLTP mix runs through the
-//! completion-driven executor ([`requiem_db::Database::run_concurrent`])
+//! completion-driven executor (a one-shard [`requiem_db::ShardedDb`])
 //! over the full block stack (`BlockStackBackend` → `IoStack` →
 //! queue pair → Figure-1 device), sweeping the number of in-flight
 //! transactions. Four sections:
@@ -28,7 +28,7 @@
 use requiem_bench::{note, section};
 use requiem_db::{
     BlockStackBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig,
+    LegacyBackend, PersistenceBackend, PrefetchConfig, ShardedDb,
 };
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
@@ -70,8 +70,9 @@ fn builder() -> DbBuilder {
         .buffer_frames(BUFFER_FRAMES)
 }
 
-fn stack_db() -> Database<BlockStackBackend> {
-    builder().build_stack(requiem_block::StackConfig::blk_mq(1), figure1_device())
+/// One executor over the block stack: the coordinator with one shard.
+fn stack_db() -> ShardedDb<BlockStackBackend> {
+    builder().build_sharded_stack(requiem_block::StackConfig::blk_mq(1), figure1_device())
 }
 
 fn oltp(read_only_fraction: f64) -> OltpGen {
@@ -106,15 +107,18 @@ impl SweepPoint {
 fn run_point(qd: usize, read_only_fraction: f64, probe: Option<&Probe>) -> SweepPoint {
     let mut db = stack_db();
     if let Some(p) = probe {
-        db.attach_probe(p.clone());
+        db.shard_mut(0).attach_probe(p.clone());
     }
     let cfg = ExecConfig {
         concurrency: qd,
         prefetch: PrefetchConfig::off(),
         group: GroupCommitPolicy::batched(qd as u32),
     };
-    let loaded_reads = db.backend().stats().page_reads;
-    let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg);
+    let loaded_reads = db.shard(0).backend().stats().page_reads;
+    let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg)
+        .per_shard
+        .remove(0);
+    let db = db.shard(0);
     SweepPoint {
         qd,
         report,
@@ -287,7 +291,6 @@ fn main() {
         ("prefetch off", PrefetchConfig::off()),
         ("sequential K=4", PrefetchConfig::sequential(4)),
     ] {
-        let mut db = stack_db();
         // one scanning transaction stream: without readahead every miss
         // is a full blocking read — the shape prefetching exists for
         let cfg = ExecConfig {
@@ -295,7 +298,7 @@ fn main() {
             prefetch,
             group: GroupCommitPolicy::immediate(),
         };
-        let report = db.run_concurrent(&inputs, &cfg);
+        let report = stack_db().run(&inputs, &cfg).per_shard.remove(0);
         // per-class histograms combine without re-recording samples
         let mut merged = report.read_only_latency.clone();
         merged.merge(&report.update_latency);
@@ -356,8 +359,9 @@ fn main() {
     for t in &inputs {
         serial.execute(&t.accesses, t.log_bytes);
     }
-    let mut conc: Database<LegacyBackend> = builder().build_legacy(figure1_device());
-    conc.run_concurrent(&inputs, &ExecConfig::serialized());
+    let mut one = ShardedDb::new(vec![builder().build_legacy(figure1_device())], DATA_PAGES);
+    one.run(&inputs, &ExecConfig::serialized());
+    let conc = one.shard(0);
     let identical = conc.now() == serial.now()
         && conc.txn_latency() == serial.txn_latency()
         && conc.commit_latency() == serial.commit_latency()
@@ -374,7 +378,7 @@ fn main() {
         String::new(),
     ]);
     tbl.row([
-        "run_concurrent QD 1".to_string(),
+        "1-shard coordinator QD 1".to_string(),
         format!("{}", conc.now()),
         format!("{}", conc.stats().commits),
         format!("{identical}"),

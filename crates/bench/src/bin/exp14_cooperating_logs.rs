@@ -33,7 +33,7 @@
 use requiem_bench::{note, section};
 use requiem_db::{
     CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig, StorageManager,
+    LegacyBackend, PersistenceBackend, PrefetchConfig, ShardedDb, StorageManager,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::table::Align;
@@ -173,13 +173,16 @@ fn run_traced<M: StorageManager>(
     let probe = Probe::new();
     db.attach_probe(probe.clone());
     let before = snapshot(&db);
+    let mut db = ShardedDb::new(vec![db], DATA_PAGES);
     let cfg = ExecConfig {
         concurrency: qd,
         prefetch: PrefetchConfig::off(),
         group: GroupCommitPolicy::batched(qd as u32),
     };
-    let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg);
-    let after = snapshot(&db);
+    let report = run_oltp_closed_loop(&mut db, &mut oltp(read_only_fraction), TXNS, &cfg)
+        .per_shard
+        .remove(0);
+    let after = snapshot(db.shard(0));
     let summary = probe.summary();
     let (mut spans, mut stall) = (0u64, 0u64);
     for ((_, cause), stat) in &summary.by_layer_cause {
@@ -325,7 +328,7 @@ fn main() {
         sweep.push((qd, b.report.tps, c.report.tps));
     }
     println!("{tbl}");
-    note("Same executor, same trace, same geometry — the managers differ only in what crosses the interface. At this mix the foreground curves track each other: the journal's 2x checkpoint copies and the second collector's work ride the background class, so the stacked-log tax is paid in wear (14a: 1.36x the programs for the same trace) and in tail stalls (14b), not in this mix's throughput. The block interface hides the tax from the benchmark that only watches TPS.");
+    note("Same executor, same trace, same geometry — the managers differ only in what crosses the interface. At this mix the foreground curves track each other: the journal's 2x checkpoint copies and the second collector's work ride the background class, so the stacked-log tax is paid in wear (14a: the end-to-end WA gap for the same trace) and in tail stalls (14b), not in this mix's throughput. The block interface hides the tax from the benchmark that only watches TPS.");
 
     // ------------------------------------------------------------------
     section("14d. Identity anchor: block manager at QD 1 == serialized execute()");
@@ -334,8 +337,9 @@ fn main() {
     for t in &inputs {
         serial.execute(&t.accesses, t.log_bytes);
     }
-    let mut conc = block_db();
-    conc.run_concurrent(&inputs, &ExecConfig::serialized());
+    let mut one = ShardedDb::new(vec![block_db()], DATA_PAGES);
+    one.run(&inputs, &ExecConfig::serialized());
+    let conc = one.shard(0);
     let identical = conc.now() == serial.now()
         && conc.txn_latency() == serial.txn_latency()
         && conc.commit_latency() == serial.commit_latency()
@@ -360,7 +364,7 @@ fn main() {
         String::new(),
     ]);
     tbl.row([
-        "run_concurrent QD 1".to_string(),
+        "1-shard coordinator QD 1".to_string(),
         format!("{}", conc.now()),
         format!("{}", conc.stats().commits),
         format!("{}", conc.wal_backend().stats().log_trims),

@@ -18,11 +18,12 @@
 //!
 //! Sections:
 //!
-//! * **15a** — TPS and commit-latency quantiles per policy × QD, and
-//!   the **amortization crossover**: the first QD where flash group
-//!   commit's throughput catches what PCM delivers with *no* queueing
-//!   at QD 1. Batching can buy back the bandwidth, but only by paying
-//!   queue depth and group-wait latency for it.
+//! * **15a** — TPS and commit-latency quantiles per policy × QD, the
+//!   **amortization crossover** (the first QD where flash group commit
+//!   out-runs the immediate flash force), and the headline: at every
+//!   QD the un-batched PCM WAL out-runs every flash policy at the same
+//!   QD. Batching buys back bandwidth only by paying queue depth and
+//!   group-wait latency for it.
 //! * **15b** — the commit CDF at QD 1: the medium gap no policy hides.
 //! * **15c** — Start-Gap wear on the DIMM: the hot log head spreads
 //!   across physical lines; the wear table is the endurance cost of
@@ -34,7 +35,7 @@
 
 use requiem_bench::{note, section};
 use requiem_db::{
-    Database, DbConfig, ExecReport, GroupCommitPolicy, LegacyBackend, PcmWalConfig, WalConfig,
+    DbConfig, ExecReport, GroupCommitPolicy, LegacyBackend, PcmWalConfig, ShardedDb, WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_sim::table::Align;
@@ -153,7 +154,7 @@ struct Run {
     qd: usize,
     report: ExecReport,
     commit_latency: Histogram,
-    db: Database<LegacyBackend>,
+    db: ShardedDb<LegacyBackend>,
 }
 
 /// One closed-loop run of the trace under (policy, qd) on a fresh
@@ -170,8 +171,11 @@ fn run(policy: Policy, qd: usize, probe: Option<&Probe>) -> Run {
     if let Some(p) = probe {
         db.attach_probe(p.clone());
     }
-    let report = run_oltp_closed_loop(&mut db, &mut oltp(), TXNS, &b.exec_config());
-    let commit_latency = db.commit_latency().clone();
+    let mut db = ShardedDb::new(vec![db], DATA_PAGES);
+    let report = run_oltp_closed_loop(&mut db, &mut oltp(), TXNS, &b.exec_config())
+        .per_shard
+        .remove(0);
+    let commit_latency = db.shard(0).commit_latency().clone();
     Run {
         policy,
         qd,
@@ -245,19 +249,40 @@ fn main() {
         pcm_qd1_tps > get(Policy::FlashImmediate, 1).report.tps,
         "at QD 1 the PCM WAL must out-run the flash force it replaces"
     );
+    // the headline, at equal queue depth: the un-batched PCM WAL
+    // out-runs every flash policy at the same QD
+    for &qd in &QDS {
+        let pcm = get(Policy::PcmImmediate, qd).report.tps;
+        for p in [
+            Policy::FlashImmediate,
+            Policy::FlashBatched,
+            Policy::FlashDeadline,
+        ] {
+            let flash = get(p, qd).report.tps;
+            assert!(
+                pcm > flash,
+                "the headline: pcm-immediate at QD {qd} ({pcm:.0} TPS) must out-run \
+                 {} at the same QD ({flash:.0} TPS)",
+                p.label()
+            );
+        }
+    }
+    // the old cross-QD claim, reported rather than asserted: deep
+    // flash batching against the DIMM with no queue at all
     let deepest = QDS[QDS.len() - 1];
     let batched_best = get(Policy::FlashBatched, deepest).report.tps;
-    assert!(
-        batched_best < pcm_qd1_tps,
-        "the headline: flash group commit at QD {deepest} ({batched_best:.0} TPS) \
-         must still trail the un-batched PCM WAL at QD 1 ({pcm_qd1_tps:.0} TPS)"
-    );
+    let cross_qd = if batched_best < pcm_qd1_tps {
+        "holds"
+    } else {
+        "refuted"
+    };
     println!(
         "amortization crossover: batching starts paying at QD {crossover_qd}; \
-         yet flash batched at QD {deepest} ({batched_best:.0} TPS) never catches \
-         pcm-immediate@QD1 ({pcm_qd1_tps:.0} TPS)\n"
+         pcm-immediate out-runs every flash policy at every QD; \
+         cross-QD claim \"flash batched@QD{deepest} trails pcm-immediate@QD1\": \
+         {cross_qd} ({batched_best:.0} vs {pcm_qd1_tps:.0} TPS)\n"
     );
-    note("Group commit starts earning its keep one doubling of queue depth in — and then never catches the DIMM: sixteen transactions' worth of batching and parallelism still trails what byte-granular persistence delivers with no batching at all. Amortization shrinks the force's *bandwidth* cost; it cannot shrink the *latency* every commit still waits, and the closed loop pays that wait in throughput too.");
+    note("Group commit starts earning its keep only a few doublings of queue depth in, and at every depth it still trails the DIMM at the same depth. Across depths, enough batching and parallelism can buy back the force's *bandwidth* cost (the cross-QD verdict above), but not the *latency* every commit still waits (15b), and the DIMM turns the same queue depth into more throughput.");
 
     // ------------------------------------------------------------------
     section("15b. Commit-latency CDF at QD 1 (no batching to hide behind)");
@@ -299,6 +324,7 @@ fn main() {
     section("15c. Start-Gap wear on the DIMM (QD 16 pcm run)");
     let wear = get(Policy::PcmImmediate, 16)
         .db
+        .shard(0)
         .wal_backend()
         .wear()
         .unwrap_or_else(|| panic!("the pcm WAL must surface a wear snapshot"));
@@ -412,7 +438,7 @@ fn main() {
         .collect();
     println!("```json");
     println!(
-        "{{\"device\":\"1ch x 4chip onfi2, data {DATA_PAGES} + wal {LOG_PAGES}, pcm log 64KiB\",\"txns\":{TXNS},\"crossover_qd\":{crossover_qd},\"pcm_qd1_tps\":{pcm_qd1_tps:.1},\"flash_batched_qd{deepest}_tps\":{batched_best:.1},"
+        "{{\"device\":\"1ch x 4chip onfi2, data {DATA_PAGES} + wal {LOG_PAGES}, pcm log 64KiB\",\"txns\":{TXNS},\"crossover_qd\":{crossover_qd},\"pcm_qd1_tps\":{pcm_qd1_tps:.1},\"flash_batched_qd{deepest}_tps\":{batched_best:.1},\"cross_qd_claim\":\"{cross_qd}\","
     );
     println!("\"sweep\":{},", format_args!("[{}]", sweep_json.join(",")));
     println!(

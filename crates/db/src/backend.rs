@@ -189,8 +189,8 @@ pub trait PersistenceBackend {
     /// Switch the underlying device to multi-queue submission semantics:
     /// commands from different submitters may arrive out of global time
     /// order (NVMe only orders within one submission queue). Called by
-    /// the sharded coordinator on every shard backend; backends without
-    /// a device-level submit-order check ignore it.
+    /// [`ShardedDb::new`](crate::ShardedDb::new) on every shard backend;
+    /// backends without a device-level submit-order check ignore it.
     fn relax_submit_order(&mut self) {}
 
     // -- batched asynchronous read path (completion-driven engine) ------
@@ -663,6 +663,10 @@ impl PersistenceBackend for VisionBackend {
 
     fn attach_probe(&mut self, probe: requiem_sim::Probe) {
         self.flash.inner_mut().attach_probe(probe);
+    }
+
+    fn relax_submit_order(&mut self) {
+        self.flash.inner_mut().relax_submit_order();
     }
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {

@@ -5,14 +5,15 @@
 //! and (since the WAL split) a [`WalConfig`] — and every binary
 //! duplicated the same glue. The builder bundles the knobs that must
 //! agree (group-commit policy, WAL medium, prefetch, concurrency) and
-//! hands back a loaded [`Database`] for any of the four storage
-//! managers, plus the matching [`ExecConfig`] for the closed loop.
+//! hands back a loaded [`Database`] for the legacy, block-stack and
+//! cooperating-logs managers (or a [`ShardedDb`] over the block stack),
+//! plus the matching [`ExecConfig`] for the closed loop.
 
 use requiem_block::StackConfig;
 use requiem_iface::nameless::NamelessConfig;
 use requiem_ssd::SsdConfig;
 
-use crate::backend::{LegacyBackend, VisionBackend};
+use crate::backend::LegacyBackend;
 use crate::coop::CoopLogBackend;
 use crate::engine::{Database, DbConfig};
 use crate::exec::ExecConfig;
@@ -218,16 +219,6 @@ impl DbBuilder {
     /// device, one collector in the stack).
     pub fn build_coop(&self, cfg: NamelessConfig) -> Database<CoopLogBackend> {
         let be = CoopLogBackend::new(cfg, self.data_pages, self.log_pages);
-        let mut db = Database::new(self.db_config(), be);
-        db.load();
-        db
-    }
-
-    /// A loaded database over the vision backend (PCM DIMM for the
-    /// synchronous path, flash atomic writes for data); `pcm_bytes` is
-    /// the DIMM's log-region capacity.
-    pub fn build_vision(&self, ssd: SsdConfig, pcm_bytes: u64) -> Database<VisionBackend> {
-        let be = VisionBackend::new(ssd, self.data_pages, pcm_bytes);
         let mut db = Database::new(self.db_config(), be);
         db.load();
         db

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::Histogram;
+use requiem_sim::{Histogram, IoStatus};
 
 use crate::backend::PersistenceBackend;
 use crate::buffer::{BufferPool, EvictOutcome};
@@ -197,7 +197,7 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// Count a completed force's status into the engine ledger.
-    pub(crate) fn note_force(&mut self, status: requiem_sim::IoStatus) {
+    pub(crate) fn note_force(&mut self, status: IoStatus) {
         if !status.is_success() {
             self.stats.wal_force_failures += 1;
         }
@@ -206,7 +206,7 @@ impl<B: PersistenceBackend> Database<B> {
     /// Attach a cross-layer [`Probe`](requiem_sim::Probe) to the backend's
     /// devices so storage-manager I/O decomposes into per-layer spans.
     /// The engine keeps a clone for its own commit-path spans (group
-    /// wait vs shared force, emitted by [`Self::run_concurrent`]).
+    /// wait vs shared force, emitted by the closed-loop executor).
     pub fn attach_probe(&mut self, probe: requiem_sim::Probe) {
         self.probe = probe.clone();
         self.backend.attach_probe(probe);
@@ -280,6 +280,53 @@ impl<B: PersistenceBackend> Database<B> {
         self.loaded = true;
     }
 
+    /// The image a device read "returns": the newest in-flight write if
+    /// any, else the durable image, else a freshly formatted page —
+    /// chosen at submit time, so completion order cannot change the
+    /// bytes.
+    pub(crate) fn pick_image(&self, pid: PageId) -> SlottedPage {
+        self.in_flight
+            .iter()
+            .rev()
+            .find(|(_, p, _)| *p == pid)
+            .map(|(_, _, img)| img.clone())
+            .or_else(|| self.durable.get(&pid).cloned())
+            .unwrap_or_else(|| self.fresh_formatted_page())
+    }
+
+    /// Fold a media read's typed status into the engine's media
+    /// counters: a device that saved the bytes through its recovery
+    /// pipeline counts a recovery, one that lost them counts a failure.
+    pub(crate) fn note_media(&mut self, status: IoStatus) {
+        match status {
+            IoStatus::Ok => {}
+            IoStatus::RecoveredAfterRetry { .. } => self.stats.media_recoveries += 1,
+            IoStatus::Unrecoverable | IoStatus::Rejected => self.stats.media_failures += 1,
+        }
+    }
+
+    /// Synchronous steal write of an evicted dirty victim starting at
+    /// `at`: WAL rule first (the victim's updates must be durable in the
+    /// log before its frame turns), then the page write. Charges the
+    /// steal stall and records the durable image; returns the instant
+    /// the device work ends.
+    pub(crate) fn steal(&mut self, at: SimTime, page_id: PageId, image: SlottedPage) -> SimTime {
+        let mut end = at;
+        let unflushed = self.wal.next_lsn();
+        if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
+            self.wal_dev.append(unflushed, 512);
+            let f = self.wal_dev.force(end, unflushed);
+            self.note_force(f.status);
+            self.wal.mark_flushed(unflushed);
+            end = end.max(f.done);
+        }
+        let done = self.backend.steal_write(end, page_id);
+        end = end.max(done);
+        self.stats.steal_stall += end.since(at);
+        self.durable.insert(page_id, image);
+        end
+    }
+
     /// Fetch a page into the pool (if absent), charging read and steal
     /// stalls. Returns nothing; the page is then resident.
     fn fetch_page(&mut self, pid: PageId) {
@@ -288,56 +335,25 @@ impl<B: PersistenceBackend> Database<B> {
         }
         self.settle_in_flight();
         // read the durable image (or an in-flight newer one)
-        let mut image = self
-            .in_flight
-            .iter()
-            .rev()
-            .find(|(_, p, _)| *p == pid)
-            .map(|(_, _, img)| img.clone())
-            .or_else(|| self.durable.get(&pid).cloned())
-            .unwrap_or_else(|| self.fresh_formatted_page());
+        let mut image = self.pick_image(pid);
         let t0 = self.now;
         let (done, status) = self.backend.page_read(self.now, pid);
         self.now = self.now.max(done);
         self.stats.read_stall += self.now.since(t0);
-        match status {
-            requiem_sim::IoStatus::Ok => {}
-            requiem_sim::IoStatus::RecoveredAfterRetry { .. } => {
-                // device saved the data itself; the stall above already
-                // charged the recovery latency — just count it
-                self.stats.media_recoveries += 1;
-            }
-            requiem_sim::IoStatus::Unrecoverable | requiem_sim::IoStatus::Rejected => {
-                // the device lost the page: redo it from the durable log
-                // (the WAL is the database — ARIES media recovery in
-                // miniature), and refresh the durable image so a later
-                // crash does not resurrect the lost bytes
-                self.stats.media_failures += 1;
-                let (end, img) = self.rebuild_page_from_log(self.now, pid);
-                self.now = self.now.max(end);
-                image = img;
-                self.durable.insert(pid, image.clone());
-            }
+        // a recovered read already charged its recovery latency above
+        self.note_media(status);
+        if !status.is_success() {
+            // the device lost the page: redo it from the durable log
+            // (the WAL is the database — ARIES media recovery in
+            // miniature), and refresh the durable image so a later
+            // crash does not resurrect the lost bytes
+            let (end, img) = self.rebuild_page_from_log(self.now, pid);
+            self.now = self.now.max(end);
+            image = img;
+            self.durable.insert(pid, image.clone());
         }
-        match self.pool.install(pid, image, false) {
-            EvictOutcome::Clean => {}
-            EvictOutcome::Steal { page_id, image } => {
-                // synchronous steal write: WAL rule first — the stolen
-                // page's updates must be durable in the log
-                let t0 = self.now;
-                let unflushed = self.wal.next_lsn();
-                if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
-                    self.wal_dev.append(unflushed, 512);
-                    let f = self.wal_dev.force(self.now, unflushed);
-                    self.note_force(f.status);
-                    self.wal.mark_flushed(unflushed);
-                    self.now = self.now.max(f.done);
-                }
-                let done = self.backend.steal_write(self.now, page_id);
-                self.now = self.now.max(done);
-                self.stats.steal_stall += self.now.since(t0);
-                self.durable.insert(page_id, *image);
-            }
+        if let EvictOutcome::Steal { page_id, image } = self.pool.install(pid, image, false) {
+            self.now = self.steal(self.now, page_id, *image);
         }
     }
 
@@ -478,8 +494,6 @@ impl<B: PersistenceBackend> Database<B> {
     /// authoritative for the *bytes*, so replay proceeds either way —
     /// this simulation models the timing and the status, not data loss
     /// in the host's RAM copy of the log).
-    ///
-    /// [`IoStatus`]: requiem_sim::IoStatus
     pub fn recover(&mut self) -> u64 {
         self.recover_with(None)
     }
@@ -524,15 +538,7 @@ impl<B: PersistenceBackend> Database<B> {
             self.wal_dev
                 .recover_scan(self.now, skip, scan.min(u64::from(u32::MAX)) as u32);
         self.now = self.now.max(end);
-        match status {
-            requiem_sim::IoStatus::Ok => {}
-            requiem_sim::IoStatus::RecoveredAfterRetry { .. } => {
-                self.stats.media_recoveries += 1;
-            }
-            requiem_sim::IoStatus::Unrecoverable | requiem_sim::IoStatus::Rejected => {
-                self.stats.media_failures += 1;
-            }
-        }
+        self.note_media(status);
         let mut replayed = 0u64;
         let to_apply: Vec<(Lsn, LogRecord)> = self
             .wal
@@ -601,18 +607,10 @@ impl<B: PersistenceBackend> Database<B> {
         let (end, status) = self
             .wal_dev
             .recover_scan(at, 0, bytes.min(u64::from(u32::MAX)) as u32);
-        match status {
-            requiem_sim::IoStatus::Ok => {}
-            requiem_sim::IoStatus::RecoveredAfterRetry { .. } => {
-                self.stats.media_recoveries += 1;
-            }
-            requiem_sim::IoStatus::Unrecoverable | requiem_sim::IoStatus::Rejected => {
-                // the log medium failed too; the in-memory WAL remains
-                // authoritative for the bytes (see `recover`), so the
-                // rebuild proceeds — but the failure is counted
-                self.stats.media_failures += 1;
-            }
-        }
+        // a failed log medium is counted, but the in-memory WAL remains
+        // authoritative for the bytes (see `recover`): the rebuild
+        // proceeds either way
+        self.note_media(status);
         let committed: BTreeSet<u64> = self
             .wal
             .durable_records()

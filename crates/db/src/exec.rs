@@ -2,8 +2,11 @@
 //!
 //! [`Database::execute`] is the paper's *synchronous* storage manager:
 //! one transaction at a time, every page miss a blocking `page_read`,
-//! every commit a private log force. This module is the same engine
-//! rebuilt around the queue-pair reality of a modern device:
+//! every commit a private log force. This module holds the building
+//! blocks of the same engine rebuilt around the queue-pair reality of a
+//! modern device; the one event loop that drives them is the shard
+//! coordinator ([`crate::shard::ShardedDb::run`]), and a single
+//! executor is simply a one-shard [`ShardedDb`](crate::ShardedDb):
 //!
 //! * **N transactions in flight** — a closed loop of executor slots,
 //!   each walking the state machine
@@ -20,6 +23,19 @@
 //!   [`GroupCommit`]; one force makes the whole group durable, and the
 //!   probe decomposes each commit into its *group wait* (`wal/queue`)
 //!   and the *shared force* (`wal/transfer`).
+//!
+//! ## Parked forces
+//!
+//! A log force never advances the executor's clock. Its outcome is
+//! fully determined when it is issued (slot frees, stall ledger and
+//! coordinator votes all carry its completion instant), so the
+//! completion is parked in [`ExecState::force_horizon`] and the
+//! coordinator wakes the executor there. Slots whose work does not wait
+//! on the force keep submitting into its latency window, exactly as a
+//! host with a deep submission queue does. The alternative — jumping
+//! the clock past every force — makes every slot wait on every other
+//! slot's commit, so slots pile up behind each force and an
+//! "immediate" policy silently turns into group commit.
 //!
 //! ## The QD-1 identity
 //!
@@ -144,11 +160,9 @@ pub(crate) struct Slot {
 }
 
 /// How a transaction terminates on this executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TxnRole {
-    /// Single-shard: append `Commit` and finish locally (the only role
-    /// `run_concurrent` ever uses).
-    #[default]
+    /// Single-shard: append `Commit` and finish locally.
     Local,
     /// One participant's share of a cross-shard transaction: append
     /// `Prepare`, report the vote, and let the coordinator decide.
@@ -244,28 +258,29 @@ pub(crate) struct ExecState {
     pub(crate) commit_order: Vec<(u64, Lsn)>,
     pub(crate) read_only_latency: Histogram,
     pub(crate) update_latency: Histogram,
-    /// Coordinator-assigned ids/roles per input index; empty in
-    /// `run_concurrent`, where the executor allocates ids itself.
+    /// Coordinator-assigned id and role, one per input index.
     pub(crate) assigned: Vec<PlannedTxn>,
     /// Force outcomes to report to the coordinator (drained per step).
     pub(crate) outbox: Vec<ShardEvent>,
     /// Before-images of participant updates, per global transaction,
     /// consumed on abort and dropped on commit.
     pub(crate) undo: BTreeMap<u64, Vec<UndoEntry>>,
-    /// Under a sharded coordinator, a group force does *not* advance the
-    /// shard's event clock synchronously (other shards keep submitting
-    /// into the overlap window); the completion instant is parked here
-    /// and the coordinator wakes the shard at it. `run_concurrent`
-    /// keeps the synchronous single-submitter discipline.
-    pub(crate) async_force: bool,
-    /// Latest pending force completion (only meaningful when
-    /// `async_force` is set; the coordinator treats it as a wake).
+    /// Latest parked completion of device work issued without waiting
+    /// (log forces, and the media redo or steal chain that installs a
+    /// read): it never advances the clock; the coordinator treats it as
+    /// a wake.
     pub(crate) force_horizon: SimTime,
 }
 
 impl ExecState {
-    /// Fresh state for a `depth`-slot closed loop starting at `now`.
-    pub(crate) fn new(depth: usize, now: SimTime, prefetch: &PrefetchConfig) -> Self {
+    /// Fresh state for a `depth`-slot closed loop starting at `now`,
+    /// running the coordinator's `assigned` transactions in order.
+    pub(crate) fn new(
+        depth: usize,
+        now: SimTime,
+        prefetch: &PrefetchConfig,
+        assigned: Vec<PlannedTxn>,
+    ) -> Self {
         ExecState {
             slots: vec![
                 Slot {
@@ -283,10 +298,9 @@ impl ExecState {
             commit_order: Vec::new(),
             read_only_latency: Histogram::new(),
             update_latency: Histogram::new(),
-            assigned: Vec::new(),
+            assigned,
             outbox: Vec::new(),
             undo: BTreeMap::new(),
-            async_force: false,
             force_horizon: now,
         }
     }
@@ -299,60 +313,8 @@ impl ExecState {
 }
 
 impl<B: PersistenceBackend> Database<B> {
-    /// Run `inputs` to completion as a closed loop of
-    /// `cfg.concurrency` transactions over the batched asynchronous
-    /// read path. See the module docs for the state machine and the
-    /// QD-1 identity.
-    pub fn run_concurrent(&mut self, inputs: &[TxnInput], cfg: &ExecConfig) -> ExecReport {
-        assert!(self.loaded, "call load() before executing transactions");
-        let depth = cfg.concurrency.max(1);
-        self.backend
-            .set_read_window(depth + cfg.prefetch.depth as usize);
-        let started_at = self.now;
-        let coalesced_before = self.pool.stats().coalesced;
-        let mut st = ExecState::new(depth, self.now, &cfg.prefetch);
-
-        loop {
-            // 1. run everything that can run at the current instant
-            self.quiesce(inputs, cfg, &mut st);
-
-            // 2. reap completions; if any arrived, re-quiesce first
-            if self.reap(&mut st) {
-                continue;
-            }
-
-            // 3. done?
-            if st.issued == inputs.len()
-                && st.all_idle()
-                && st.pending.is_empty()
-                && st.group.is_empty()
-            {
-                break;
-            }
-
-            // 4. advance virtual time to the next event
-            match self.next_event(inputs.len(), cfg, &st) {
-                Some(t) if t > self.now => self.now = t,
-                Some(_) => {} // an event is ready at `now`: loop again
-                None => {
-                    // nothing scheduled: the only way forward is forcing
-                    // an undersized group (batched policies with too few
-                    // stragglers to fill one)
-                    if st.group.is_empty() {
-                        break; // defensive: no work, no waiters
-                    }
-                    self.force_group(self.now, &mut st);
-                }
-            }
-        }
-
-        self.finish_run(started_at, coalesced_before, st)
-    }
-
     /// Close out a closed-loop run: settle the clock on the last commit
     /// force, finalize readahead attribution, and build the report.
-    /// Shared by `run_concurrent` and the shard coordinator so the two
-    /// paths cannot drift.
     pub(crate) fn finish_run(
         &mut self,
         started_at: SimTime,
@@ -436,16 +398,8 @@ impl<B: PersistenceBackend> Database<B> {
                 if let SlotState::Idle { free_at } = st.slots[i].state {
                     if free_at <= self.now && st.issued < inputs.len() {
                         // the coordinator pre-assigns ids (a global
-                        // namespace across shards); standalone runs
-                        // allocate locally, exactly as before
-                        let (id, role) = match st.assigned.get(st.issued) {
-                            Some(p) => (p.id, p.role),
-                            None => {
-                                let id = self.next_txn;
-                                self.next_txn += 1;
-                                (id, TxnRole::Local)
-                            }
-                        };
+                        // namespace across shards), one per input
+                        let PlannedTxn { id, role } = st.assigned[st.issued];
                         st.slots[i].txn = Some(Active {
                             id,
                             started: self.now,
@@ -651,19 +605,6 @@ impl<B: PersistenceBackend> Database<B> {
         st.slots[i].txn = Some(active);
     }
 
-    /// The image a device read "returns": the newest in-flight write if
-    /// any, else the durable image, else a freshly formatted page —
-    /// chosen at submit time, exactly like the serialized engine.
-    pub(crate) fn pick_image(&self, pid: PageId) -> SlottedPage {
-        self.in_flight
-            .iter()
-            .rev()
-            .find(|(_, p, _)| *p == pid)
-            .map(|(_, _, img)| img.clone())
-            .or_else(|| self.durable.get(&pid).cloned())
-            .unwrap_or_else(|| self.fresh_formatted_page())
-    }
-
     /// Reap ready completions; the event clock advances through each
     /// completion's instant as it is processed (device submissions must
     /// be non-decreasing in time, so install-side work — media redo,
@@ -694,54 +635,25 @@ impl<B: PersistenceBackend> Database<B> {
         // have pushed `now` past this read's `done`, and the device
         // requires non-decreasing submission times.
         let mut end = self.now;
-        match r.status {
-            IoStatus::Ok => {}
-            IoStatus::RecoveredAfterRetry { .. } => {
-                // the device saved the data itself; `done` already
-                // includes its recovery latency — just count it
-                self.stats.media_recoveries += 1;
-            }
-            IoStatus::Unrecoverable | IoStatus::Rejected => {
-                // media-failure redo from the durable log, charged as a
-                // log read starting at the failed read's completion
-                self.stats.media_failures += 1;
-                let (redo_end, img) = self.rebuild_page_from_log(self.now, r.page);
-                end = redo_end;
-                image = img;
-                self.durable.insert(r.page, image.clone());
-            }
+        // a recovered read's `done` already includes its recovery latency
+        self.note_media(r.status);
+        if !r.status.is_success() {
+            // media-failure redo from the durable log, charged as a log
+            // read starting at the failed read's completion
+            let (redo_end, img) = self.rebuild_page_from_log(self.now, r.page);
+            end = redo_end;
+            image = img;
+            self.durable.insert(r.page, image.clone());
         }
         let (outcome, _cookies) = self.pool.complete_fetch(r.page, image, false);
         if let EvictOutcome::Steal { page_id, image } = outcome {
-            // synchronous steal write: WAL rule first (the victim's
-            // updates must be durable in the log before its frame turns)
-            let t0 = end;
-            let unflushed = self.wal.next_lsn();
-            if self.wal.flushed().map(|f| f < unflushed).unwrap_or(true) {
-                self.wal_dev.append(unflushed, 512);
-                let f = self.wal_dev.force(end, unflushed);
-                self.note_force(f.status);
-                self.wal.mark_flushed(unflushed);
-                end = end.max(f.done);
-            }
-            let done = self.backend.steal_write(end, page_id);
-            end = end.max(done);
-            self.stats.steal_stall += end.since(t0);
-            self.durable.insert(page_id, *image);
+            end = self.steal(end, page_id, *image);
         }
         // install-side device work (media redo, steal) drove the device
-        // to `end`
-        if st.async_force {
-            // sharded coordinator: park the horizon instead of
-            // advancing the clock — the waiters' `ready_at = end` gates
-            // execution, and the multi-queue device accepts the
-            // out-of-order submissions peer overlap produces
-            st.force_horizon = st.force_horizon.max(end);
-        } else {
-            // single submitter: the event clock follows so no later
-            // submission can go backwards in device time
-            self.now = self.now.max(end);
-        }
+        // to `end`: park it like a force — the waiters' `ready_at = end`
+        // gates execution, and the multi-queue device accepts the
+        // out-of-order submissions that overlap produces
+        st.force_horizon = st.force_horizon.max(end);
         // wake every waiter at the instant the page became usable; each
         // charges its own read stall from its own demand instant (zero
         // when the coalesced read had already completed before the
@@ -782,21 +694,11 @@ impl<B: PersistenceBackend> Database<B> {
         let f = self.wal_dev.force(t, horizon);
         self.note_force(f.status);
         let done = f.done;
-        if st.async_force {
-            // sharded coordinator: the force's outcome is already fully
-            // determined (slot frees, stats, and outbox all carry
-            // `done`), but the clock holds so peer shards can submit
-            // into the force's latency window; the coordinator wakes
-            // this shard at the horizon
-            st.force_horizon = st.force_horizon.max(done);
-        } else {
-            // the force is synchronous at the engine interface: a
-            // spilling force submits device writes up to `done`, so the
-            // event clock follows (reads already in flight still
-            // overlap the force — their completions are reaped
-            // afterwards with done <= now)
-            self.now = self.now.max(done);
-        }
+        // the force's outcome is fully determined here (slot frees,
+        // stats, and outbox all carry `done`), but the clock holds so
+        // independent work keeps submitting into the force's latency
+        // window; the coordinator wakes this executor at the horizon
+        st.force_horizon = st.force_horizon.max(done);
         self.wal.mark_flushed(horizon);
         let force_cause = self.wal_dev.force_cause();
         for m in &members {
@@ -946,6 +848,7 @@ mod tests {
     use super::*;
     use crate::backend::{LegacyBackend, VisionBackend};
     use crate::engine::DbConfig;
+    use crate::shard::ShardedDb;
     use crate::stack_backend::BlockStackBackend;
     use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
@@ -964,6 +867,12 @@ mod tests {
                 log_bytes: 128,
             })
             .collect()
+    }
+
+    /// A single executor: the coordinator over one shard.
+    fn one_shard<B: PersistenceBackend>(db: Database<B>) -> ShardedDb<B> {
+        let pages = db.cfg.data_pages;
+        ShardedDb::new(vec![db], pages)
     }
 
     fn legacy_db(frames: usize) -> Database<LegacyBackend> {
@@ -1006,61 +915,30 @@ mod tests {
         db
     }
 
-    /// The tentpole invariant: concurrency 1 + prefetch off + immediate
-    /// forces replays the serialized engine bit for bit.
+    /// Forces park on every backend, so the device sees submissions out
+    /// of global time order: the vision backend's flash must accept
+    /// them (debug builds assert the order on a strict device).
     #[test]
-    fn qd1_identity_legacy() {
-        let inputs = mixed_inputs(60, 256, 3);
-        let mut serial = legacy_db(32);
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
-        }
-        let mut conc = legacy_db(32);
-        let report = conc.run_concurrent(&inputs, &ExecConfig::serialized());
-        assert_eq!(report.txns, 60);
-        assert_eq!(conc.now(), serial.now(), "clocks must agree");
-        assert_eq!(conc.stats().commits, serial.stats().commits);
-        assert_eq!(conc.stats().read_stall, serial.stats().read_stall);
-        assert_eq!(conc.stats().steal_stall, serial.stats().steal_stall);
-        assert_eq!(conc.stats().commit_stall, serial.stats().commit_stall);
-        assert_eq!(
-            conc.wal_backend().stats().log_forces,
-            serial.wal_backend().stats().log_forces
+    fn vision_backend_runs_a_deep_closed_loop() {
+        let inputs = mixed_inputs(60, 256, 2);
+        let mut db = one_shard(vision_db(16));
+        let report = db.run(
+            &inputs,
+            &ExecConfig {
+                concurrency: 4,
+                prefetch: PrefetchConfig::off(),
+                group: GroupCommitPolicy::batched(4),
+            },
         );
-        assert_eq!(
-            conc.wal_backend().stats().log_bytes,
-            serial.wal_backend().stats().log_bytes
-        );
-        assert_eq!(
-            conc.backend().stats().page_reads,
-            serial.backend().stats().page_reads
-        );
-        assert_eq!(conc.txn_latency(), serial.txn_latency(), "histograms");
-        assert_eq!(conc.commit_latency(), serial.commit_latency());
-        assert_eq!(report.coalesced, 0);
-        assert_eq!(report.prefetch.issued, 0);
-    }
-
-    #[test]
-    fn qd1_identity_vision() {
-        let inputs = mixed_inputs(40, 256, 2);
-        let mut serial = vision_db(32);
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
-        }
-        let mut conc = vision_db(32);
-        conc.run_concurrent(&inputs, &ExecConfig::serialized());
-        assert_eq!(conc.now(), serial.now(), "clocks must agree");
-        assert_eq!(conc.txn_latency(), serial.txn_latency());
+        assert_eq!(report.committed, 60);
+        assert!(report.forces < 60, "QD 4 must group some commits");
     }
 
     #[test]
     fn concurrency_overlaps_reads_and_beats_serial() {
         let inputs = mixed_inputs(120, 256, 0); // read-only: misses dominate
-        let mut serial = stack_db(16);
-        let r1 = serial.run_concurrent(&inputs, &ExecConfig::serialized());
-        let mut conc = stack_db(16);
-        let r8 = conc.run_concurrent(
+        let r1 = one_shard(stack_db(16)).run(&inputs, &ExecConfig::serialized());
+        let r8 = one_shard(stack_db(16)).run(
             &inputs,
             &ExecConfig {
                 concurrency: 8,
@@ -1087,8 +965,8 @@ mod tests {
                 log_bytes: 64,
             })
             .collect();
-        let mut db = legacy_db(32);
-        let report = db.run_concurrent(
+        let mut db = one_shard(legacy_db(32));
+        let report = db.run(
             &inputs,
             &ExecConfig {
                 concurrency: 4,
@@ -1096,10 +974,11 @@ mod tests {
                 group: GroupCommitPolicy::batched(4),
             },
         );
-        assert!(report.coalesced > 0, "same-page misses must coalesce");
+        let coalesced: u64 = report.per_shard.iter().map(|r| r.coalesced).sum();
+        assert!(coalesced > 0, "same-page misses must coalesce");
         // all eight updates landed on the one page
         for i in 0..8u64 {
-            assert_eq!(db.visible_owner(7, i as u16), i + 1);
+            assert_eq!(db.shard_mut(0).visible_owner(7, i as u16), i + 1);
         }
     }
 
@@ -1113,17 +992,18 @@ mod tests {
                 log_bytes: 32,
             })
             .collect();
-        let mut plain = stack_db(16);
-        let r0 = plain.run_concurrent(&inputs, &ExecConfig::serialized());
-        let mut ra = stack_db(16);
-        let r4 = ra.run_concurrent(
-            &inputs,
-            &ExecConfig {
-                concurrency: 1,
-                prefetch: PrefetchConfig::sequential(4),
-                group: GroupCommitPolicy::immediate(),
-            },
-        );
+        let r0 = one_shard(stack_db(16)).run(&inputs, &ExecConfig::serialized());
+        let mut ra = one_shard(stack_db(16));
+        let r4 = &ra
+            .run(
+                &inputs,
+                &ExecConfig {
+                    concurrency: 1,
+                    prefetch: PrefetchConfig::sequential(4),
+                    group: GroupCommitPolicy::immediate(),
+                },
+            )
+            .per_shard[0];
         assert!(r4.prefetch.issued > 0);
         assert!(
             r4.prefetch.wins * 2 > r4.prefetch.issued,
@@ -1141,10 +1021,8 @@ mod tests {
     #[test]
     fn group_commit_amortizes_forces_in_the_loop() {
         let inputs = mixed_inputs(64, 64, 1); // all writers
-        let mut single = legacy_db(64);
-        let r1 = single.run_concurrent(&inputs, &ExecConfig::serialized());
-        let mut grouped = legacy_db(64);
-        let r8 = grouped.run_concurrent(
+        let r1 = one_shard(legacy_db(64)).run(&inputs, &ExecConfig::serialized());
+        let r8 = one_shard(legacy_db(64)).run(
             &inputs,
             &ExecConfig {
                 concurrency: 8,
@@ -1153,7 +1031,7 @@ mod tests {
             },
         );
         assert!(r8.forces < r1.forces / 4, "{} vs {}", r8.forces, r1.forces);
-        assert!(r8.mean_group > 4.0);
+        assert!(r8.per_shard[0].mean_group > 4.0);
         assert!(r8.makespan < r1.makespan, "grouping should be faster");
     }
 
@@ -1163,7 +1041,7 @@ mod tests {
         let mut db = legacy_db(64);
         let probe = requiem_sim::Probe::recording();
         db.attach_probe(probe.clone());
-        db.run_concurrent(
+        one_shard(db).run(
             &inputs,
             &ExecConfig {
                 concurrency: 4,
@@ -1191,7 +1069,8 @@ mod tests {
         let inputs = mixed_inputs(40, 64, 1);
         let mut db = legacy_db(64);
         db.cfg.checkpoint_every = 10;
-        db.run_concurrent(
+        let mut db = one_shard(db);
+        db.run(
             &inputs,
             &ExecConfig {
                 concurrency: 4,
@@ -1199,6 +1078,6 @@ mod tests {
                 group: GroupCommitPolicy::batched(4),
             },
         );
-        assert_eq!(db.stats().checkpoints, 4);
+        assert_eq!(db.shard(0).stats().checkpoints, 4);
     }
 }

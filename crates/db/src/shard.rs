@@ -11,18 +11,18 @@
 //!
 //! ## The coordinator loop
 //!
-//! Each shard is the *same* completion-driven executor
-//! ([`Database::run_concurrent`]'s building blocks, not a copy): the
-//! coordinator computes every shard's next wake instant — runnable work
-//! at its current clock, its next device completion, slot/group timers,
-//! or a deliverable commit decision — and a [`CoreClock`] picks the
+//! This is the crate's only closed-loop event loop; a single executor
+//! is a one-shard `ShardedDb`. Each shard is the completion-driven
+//! executor of [`crate::exec`]: the coordinator computes every shard's
+//! next wake instant — runnable work at its current clock, its next
+//! device completion, slot/group timers, a parked force completion, or
+//! a deliverable commit decision — and a [`CoreClock`] picks the
 //! earliest, breaking ties round-robin from the last grant. The picked
 //! shard advances to that instant and runs its `quiesce`/`reap` loop to
-//! exhaustion, exactly as the single-threaded executor would. With one
-//! shard the coordinator collapses structurally into
-//! `run_concurrent` — the same calls in the same order on the same
-//! state — which is the **QD-1 × 1-shard bit-identity** anchor the
-//! proptests pin.
+//! exhaustion. Forces park their completion instead of advancing the
+//! shard clock (see the executor's module docs), so one shard at QD 1
+//! with immediate forces replays the serialized engine bit for bit —
+//! the **QD-1 × 1-shard identity** anchor the proptests pin.
 //!
 //! ## Cross-shard transactions
 //!
@@ -144,9 +144,10 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                 db.cfg.data_pages == data_pages / n,
                 "each shard must be configured with data_pages / N local pages"
             );
-            // sharded submission is multi-queue by construction: a
-            // shard submits into a peer's parked force window, so the
-            // device must accept per-stream (not global) time order
+            // submission is multi-queue by construction: an executor
+            // submits into its own and its peers' parked force windows,
+            // so the device must accept per-stream (not global) time
+            // order. This is the only place that relaxes it.
             db.backend.relax_submit_order();
         }
         ShardedDb {
@@ -288,19 +289,12 @@ impl<B: PersistenceBackend> ShardedDb<B> {
 
         let mut states: Vec<ExecState> = Vec::with_capacity(n);
         let mut coalesced_before: Vec<u64> = Vec::with_capacity(n);
-        for (s, db) in self.shards.iter_mut().enumerate() {
+        for (db, assigned) in self.shards.iter_mut().zip(assigned) {
             assert!(db.loaded, "call load() before executing transactions");
             db.backend
                 .set_read_window(depth + cfg.prefetch.depth as usize);
             coalesced_before.push(db.pool.stats().coalesced);
-            let mut st = ExecState::new(depth, db.now, &cfg.prefetch);
-            st.assigned = assigned[s].clone();
-            // group forces park their completion in `force_horizon`
-            // instead of advancing the shard clock, so peer shards keep
-            // submitting into the force's latency window (the overlap a
-            // real multi-queue host gets for free)
-            st.async_force = true;
-            states.push(st);
+            states.push(ExecState::new(depth, db.now, &cfg.prefetch, assigned));
         }
 
         let mut clock = CoreClock::new(n);
@@ -367,7 +361,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                             i += 1;
                         }
                     }
-                    // the single-executor inner loop, verbatim
+                    // run everything runnable, reaping as completions land
                     loop {
                         db.quiesce(&plans[s], cfg, st);
                         if !db.reap(st) {
@@ -378,8 +372,9 @@ impl<B: PersistenceBackend> ShardedDb<B> {
                 }
                 None => {
                     // nothing scheduled anywhere: the only way forward
-                    // is forcing an undersized group (same fallback as
-                    // the single-executor loop, lowest shard first)
+                    // is forcing an undersized group (batched policies
+                    // with too few stragglers to fill one), lowest
+                    // shard first
                     let Some(s) = (0..n).find(|&s| !states[s].group.is_empty()) else {
                         break; // all quiet: the run is complete
                     };

@@ -106,7 +106,8 @@ impl BlockStackBackend {
     /// `[log | data | journal]` layout inside, where
     /// `stripe = log_pages + 2 * data_pages`. `data_pages` here is the
     /// *per-shard* data-region size. Host tags are namespaced per core
-    /// so traces stay unambiguous.
+    /// so traces stay unambiguous. [`ShardedDb::new`](crate::ShardedDb::new)
+    /// switches the shared device to multi-queue submission order.
     ///
     /// # Panics
     /// Panics if `stack_cfg` has fewer cores than `shards`, or the
@@ -124,12 +125,7 @@ impl BlockStackBackend {
             "stack must expose one core per shard ({} < {shards})",
             stack_cfg.cores
         );
-        let mut ssd = Ssd::new(ssd_cfg);
-        // sharded clocks are loosely coupled: commands from different
-        // queue pairs (and a shard's own submissions during a parked
-        // force window) interleave out of global time order, exactly as
-        // NVMe multi-SQ — each stream stays monotone
-        ssd.relax_submit_order();
+        let ssd = Ssd::new(ssd_cfg);
         let exported = ssd.capacity().exported_pages;
         let stripe = log_pages + 2 * data_pages;
         let needed = stripe * shards as u64;

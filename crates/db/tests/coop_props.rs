@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use requiem_db::wal::Lsn;
 use requiem_db::{
     CoopLogBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy, PageId, PersistenceBackend,
-    PrefetchConfig, StorageManager, TxnInput, WalBackend, PAGE_SIZE,
+    PrefetchConfig, ShardedDb, StorageManager, TxnInput, WalBackend, PAGE_SIZE,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::time::SimTime;
@@ -291,7 +291,8 @@ fn database_on_coop_logs_replays_bit_identically() {
             backend,
         );
         db.load();
-        db.run_concurrent(
+        let mut db = ShardedDb::new(vec![db], 128);
+        db.run(
             &inputs,
             &ExecConfig {
                 concurrency: 4,
@@ -299,6 +300,7 @@ fn database_on_coop_logs_replays_bit_identically() {
                 group: GroupCommitPolicy::batched(4),
             },
         );
+        let db = db.shard(0);
         (
             db.now(),
             format!("{:?}", db.stats()),

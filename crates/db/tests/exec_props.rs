@@ -1,4 +1,5 @@
-//! Property tests for the completion-driven executor (ISSUE 5):
+//! Property tests for the completion-driven executor, driven through
+//! its one event loop (a one-shard [`ShardedDb`]):
 //!
 //! 1. **Group commit never reorders LSNs** — the durability order the
 //!    executor reports is exactly WAL order, for any mix, concurrency,
@@ -7,17 +8,35 @@
 //!    engineered so concurrent transactions pile onto the same in-flight
 //!    page reads must leave the database byte-for-byte where independent
 //!    (serialized) fetches leave it.
-//! 3. **The QD-1 identity holds under random access mixes** — not just
-//!    for the hand-picked workloads in the unit tests.
+//! 3. **The QD-1 identity holds under random access mixes** — on every
+//!    storage manager (legacy, block stack, cooperating logs, vision)
+//!    and both WAL media (flash, PCM), the executor at concurrency 1
+//!    replays the serialized `execute()` engine bit for bit.
+//! 4. **Forces park instead of stalling the loop** — an immediate
+//!    policy keeps one force per commit at depth, and the PCM WAL turns
+//!    queue depth into throughput.
 
 use proptest::prelude::*;
+use requiem_block::StackConfig;
 use requiem_db::{
-    Database, DbConfig, ExecConfig, GroupCommitPolicy, LegacyBackend, PersistenceBackend, TxnInput,
+    BlockStackBackend, CoopLogBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy,
+    LegacyBackend, PcmWalConfig, PersistenceBackend, ShardedDb, ShardedReport, TxnInput,
+    VisionBackend, WalConfig,
 };
-use requiem_ssd::SsdConfig;
+use requiem_iface::nameless::NamelessConfig;
+use requiem_pcm::PcmTiming;
+use requiem_sim::SimRng;
+use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
 
 const DATA_PAGES: u64 = 64;
+const LOG_PAGES: u64 = 64;
 const SLOTS: u16 = 16;
+
+fn bare_ssd() -> SsdConfig {
+    let mut cfg = SsdConfig::modern();
+    cfg.buffer.capacity_pages = 0;
+    cfg
+}
 
 fn small_db(buffer_frames: usize) -> Database<LegacyBackend> {
     let cfg = DbConfig {
@@ -25,11 +44,20 @@ fn small_db(buffer_frames: usize) -> Database<LegacyBackend> {
         buffer_frames,
         ..DbConfig::default()
     };
-    let mut ssd_cfg = SsdConfig::modern();
-    ssd_cfg.buffer.capacity_pages = 0;
-    let mut db = Database::new(cfg, LegacyBackend::new(ssd_cfg, DATA_PAGES, 64));
+    let mut db = Database::new(cfg, LegacyBackend::new(bare_ssd(), DATA_PAGES, 64));
     db.load();
     db
+}
+
+/// The single executor: the coordinator over one shard.
+fn run_one<B: PersistenceBackend>(
+    db: Database<B>,
+    inputs: &[TxnInput],
+    cfg: &ExecConfig,
+) -> (ShardedDb<B>, ShardedReport) {
+    let mut one = ShardedDb::new(vec![db], DATA_PAGES);
+    let report = one.run(inputs, cfg);
+    (one, report)
 }
 
 fn arb_txn() -> impl Strategy<Value = TxnInput> {
@@ -50,6 +78,89 @@ fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
     proptest::collection::vec(arb_txn(), 1..24)
 }
 
+/// Every (page, slot)'s visible owner — the byte-level observable.
+fn owners<B: PersistenceBackend>(db: &mut Database<B>) -> Vec<u64> {
+    (0..DATA_PAGES)
+        .flat_map(|p| (0..SLOTS).map(move |s| (p, s)))
+        .map(|(p, s)| db.visible_owner(p, s))
+        .collect()
+}
+
+/// A small pool (steals) and, when `checkpoint_every > 0`, frequent
+/// checkpoints (log truncation), so the identity covers every WAL call
+/// site, not just the commit force.
+fn loaded<B: PersistenceBackend>(
+    wal: &WalConfig,
+    checkpoint_every: u64,
+    backend: B,
+) -> Database<B> {
+    let cfg = DbConfig {
+        data_pages: DATA_PAGES,
+        buffer_frames: 16,
+        checkpoint_every,
+        wal: wal.clone(),
+        ..DbConfig::default()
+    };
+    let mut db = Database::new(cfg, backend);
+    db.load();
+    db
+}
+
+/// QD 1 on the coordinator == serialized `execute()`: clock, stall
+/// ledger, histograms, WAL counters, PCM wear, device counters, and
+/// every record owner.
+fn assert_qd1_identity<B: PersistenceBackend>(
+    label: &str,
+    make: impl Fn() -> Database<B>,
+    inputs: &[TxnInput],
+) -> Result<(), TestCaseError> {
+    let mut serial = make();
+    for t in inputs {
+        serial.execute(&t.accesses, t.log_bytes);
+    }
+    let (mut one, report) = run_one(make(), inputs, &ExecConfig::serialized());
+    prop_assert_eq!(
+        report.committed,
+        inputs.len() as u64,
+        "{}: committed",
+        label
+    );
+    let conc = one.shard_mut(0);
+    prop_assert_eq!(conc.now(), serial.now(), "{}: clock", label);
+    prop_assert_eq!(conc.stats(), serial.stats(), "{}: stall ledger", label);
+    prop_assert_eq!(
+        conc.txn_latency(),
+        serial.txn_latency(),
+        "{}: txn histogram",
+        label
+    );
+    prop_assert_eq!(
+        conc.commit_latency(),
+        serial.commit_latency(),
+        "{}: commit histogram",
+        label
+    );
+    let (cw, sw) = (conc.wal_backend().stats(), serial.wal_backend().stats());
+    prop_assert_eq!(cw.log_forces, sw.log_forces, "{}: log forces", label);
+    prop_assert_eq!(cw.log_bytes, sw.log_bytes, "{}: log bytes", label);
+    prop_assert_eq!(
+        conc.wal_backend().wear().map(|w| w.total_line_writes),
+        serial.wal_backend().wear().map(|w| w.total_line_writes),
+        "{}: start-gap wear",
+        label
+    );
+    let (cb, sb) = (conc.backend().stats(), serial.backend().stats());
+    prop_assert_eq!(cb.page_reads, sb.page_reads, "{}: page reads", label);
+    prop_assert_eq!(cb.steal_writes, sb.steal_writes, "{}: steal writes", label);
+    prop_assert_eq!(
+        owners(conc),
+        owners(&mut serial),
+        "{}: record owners",
+        label
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -62,27 +173,27 @@ proptest! {
         concurrency in 1usize..6,
         batch in 1u32..8,
     ) {
-        let mut db = small_db(16);
         let cfg = ExecConfig {
             concurrency,
             group: GroupCommitPolicy::batched(batch),
             ..ExecConfig::serialized()
         };
-        let report = db.run_concurrent(&inputs, &cfg);
-        prop_assert_eq!(report.commit_order.len(), inputs.len());
-        for w in report.commit_order.windows(2) {
+        let (db, report) = run_one(small_db(16), &inputs, &cfg);
+        let commit_order = &report.per_shard[0].commit_order;
+        prop_assert_eq!(commit_order.len(), inputs.len());
+        for w in commit_order.windows(2) {
             prop_assert!(
                 w[0].1 < w[1].1,
                 "durability order must be strictly increasing in LSN: {:?} then {:?}",
                 w[0], w[1]
             );
         }
-        let mut txns: Vec<u64> = report.commit_order.iter().map(|&(t, _)| t).collect();
+        let mut txns: Vec<u64> = commit_order.iter().map(|&(t, _)| t).collect();
         txns.sort_unstable();
         txns.dedup();
         prop_assert_eq!(txns.len(), inputs.len(), "each txn commits exactly once");
-        let flushed = db.wal().flushed();
-        let max_lsn = report.commit_order.iter().map(|&(_, l)| l).max();
+        let flushed = db.shard(0).wal().flushed();
+        let max_lsn = commit_order.iter().map(|&(_, l)| l).max();
         if let (Some(f), Some(m)) = (flushed, max_lsn) {
             prop_assert!(m <= f, "every reported commit LSN must be durable");
         }
@@ -116,53 +227,144 @@ proptest! {
         for t in &inputs {
             serial.execute(&t.accesses, t.log_bytes);
         }
-        let mut conc = small_db(4);
-        conc.run_concurrent(&inputs, &ExecConfig {
+        let cfg = ExecConfig {
             concurrency,
             ..ExecConfig::serialized()
-        });
-        // visible_owner is the byte-level observable: who owns each slot
-        for page in 0..DATA_PAGES {
-            for slot in 0..SLOTS {
-                prop_assert_eq!(
-                    conc.visible_owner(page, slot),
-                    serial.visible_owner(page, slot),
-                    "owner mismatch at page {} slot {}", page, slot
-                );
-            }
-        }
+        };
+        let (mut conc, _) = run_one(small_db(4), &inputs, &cfg);
+        prop_assert_eq!(owners(conc.shard_mut(0)), owners(&mut serial));
     }
+}
 
-    /// The QD-1 identity under arbitrary mixes: concurrency 1 +
-    /// prefetch off + immediate forces replays the serialized engine
-    /// bit-for-bit — clock, stall ledger, histograms, device counters.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The QD-1 identity under arbitrary mixes, on every storage manager
+    /// × WAL medium: concurrency 1 + prefetch off + immediate forces
+    /// replays the serialized engine bit for bit.
     #[test]
-    fn qd1_identity_under_random_mixes(inputs in arb_inputs()) {
-        let mut serial = small_db(16);
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
+    fn qd1_identity_on_every_manager_and_wal(
+        inputs in proptest::collection::vec(arb_txn(), 1..40),
+    ) {
+        let pcm = WalConfig::Pcm(PcmWalConfig {
+            bytes: 1 << 20,
+            timing: PcmTiming::gen1(),
+            gap_interval: 64,
+        });
+        for (medium, wal) in [("flash", WalConfig::Flash), ("pcm", pcm)] {
+            assert_qd1_identity(
+                &format!("legacy/{medium}"),
+                || loaded(&wal, 16, LegacyBackend::new(bare_ssd(), DATA_PAGES, LOG_PAGES)),
+                &inputs,
+            )?;
+            // no checkpoints on the block stack: its checkpoint batch
+            // shares the core's in-flight window, which the executor
+            // narrows to its read population (1 at QD 1) while
+            // `execute()` keeps the default, so the two diverge there
+            assert_qd1_identity(
+                &format!("stack/{medium}"),
+                || {
+                    let be = BlockStackBackend::new(
+                        StackConfig::blk_mq(1),
+                        SsdConfig::modern(),
+                        DATA_PAGES,
+                        LOG_PAGES,
+                    );
+                    loaded(&wal, 0, be)
+                },
+                &inputs,
+            )?;
+            assert_qd1_identity(
+                &format!("coop/{medium}"),
+                || {
+                    let nameless = NamelessConfig::from(&SsdConfig::modern());
+                    loaded(&wal, 16, CoopLogBackend::new(nameless, DATA_PAGES, LOG_PAGES))
+                },
+                &inputs,
+            )?;
+            assert_qd1_identity(
+                &format!("vision/{medium}"),
+                || {
+                    let be = VisionBackend::new(SsdConfig::modern(), DATA_PAGES, 1 << 22);
+                    loaded(&wal, 16, be)
+                },
+                &inputs,
+            )?;
         }
-        let mut conc = small_db(16);
-        conc.run_concurrent(&inputs, &ExecConfig::serialized());
-        prop_assert_eq!(conc.now(), serial.now());
-        prop_assert_eq!(conc.stats(), serial.stats());
-        prop_assert_eq!(conc.txn_latency(), serial.txn_latency());
-        prop_assert_eq!(conc.commit_latency(), serial.commit_latency());
-        prop_assert_eq!(
-            conc.wal_backend().stats().log_forces,
-            serial.wal_backend().stats().log_forces
-        );
-        prop_assert_eq!(
-            conc.wal_backend().stats().log_bytes,
-            serial.wal_backend().stats().log_bytes
-        );
-        prop_assert_eq!(
-            conc.backend().stats().page_reads,
-            serial.backend().stats().page_reads
-        );
-        prop_assert_eq!(
-            conc.backend().stats().steal_writes,
-            serial.backend().stats().steal_writes
-        );
     }
+}
+
+/// Four chips behind one shared ONFI-2 channel, no device buffer (the
+/// E13/E15 device): a flash force costs a segment program.
+fn figure1_device() -> SsdConfig {
+    SsdConfig {
+        shape: ArrayShape {
+            channels: 1,
+            chips_per_channel: 4,
+            luns_per_chip: 1,
+        },
+        channel: ChannelTiming::onfi2(),
+        placement: Placement::RoundRobin,
+        buffer: BufferConfig { capacity_pages: 0 },
+        ..SsdConfig::modern()
+    }
+}
+
+/// E15's shape: four uniformly drawn pages per transaction, 80 % of
+/// the accesses dirty, 256 log bytes each.
+fn commit_heavy_inputs(count: usize, pages: u64, seed: u64) -> Vec<TxnInput> {
+    let mut rng = SimRng::from_seed(seed);
+    (0..count)
+        .map(|_| TxnInput {
+            accesses: (0..4)
+                .map(|_| {
+                    let page = rng.below(pages);
+                    (page, (page % u64::from(SLOTS)) as u16, rng.chance(0.8))
+                })
+                .collect(),
+            log_bytes: 256,
+        })
+        .collect()
+}
+
+/// Forces park their completion instead of advancing the executor's
+/// clock, so independent slots keep running through a force. Two
+/// consequences pin that semantics: an immediate policy still issues
+/// (nearly) one force per commit at depth — it does not collapse into
+/// an accidental group commit of slots piled up behind each force —
+/// and the PCM WAL, whose forces cost microseconds, turns queue depth
+/// into throughput.
+#[test]
+fn parked_forces_keep_immediate_commits_independent() {
+    const PAGES: u64 = 1024;
+    const TXNS: usize = 600;
+    let inputs = commit_heavy_inputs(TXNS, PAGES, 15);
+    let run = |wal: WalConfig, qd: usize| {
+        let b = DbConfig::builder()
+            .data_pages(PAGES)
+            .log_pages(512)
+            .buffer_frames(512)
+            .group(GroupCommitPolicy::immediate())
+            .concurrency(qd)
+            .wal(wal);
+        let mut one = ShardedDb::new(vec![b.build_legacy(figure1_device())], PAGES);
+        one.run(&inputs, &b.exec_config())
+    };
+    let flash = run(WalConfig::Flash, 8);
+    assert_eq!(flash.committed, TXNS as u64);
+    assert!(
+        flash.forces * 100 >= flash.committed * 95,
+        "an immediate policy at QD 8 must force (nearly) every commit on its own: \
+         {} forces for {} commits",
+        flash.forces,
+        flash.committed
+    );
+    let pcm1 = run(WalConfig::pcm(), 1);
+    let pcm8 = run(WalConfig::pcm(), 8);
+    assert!(
+        pcm8.tps >= 1.5 * pcm1.tps,
+        "the PCM WAL must scale with queue depth: QD 8 {:.0} TPS vs QD 1 {:.0} TPS",
+        pcm8.tps,
+        pcm1.tps
+    );
 }

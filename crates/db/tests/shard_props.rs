@@ -1,18 +1,15 @@
 //! Property tests for the sharded execution path (PR 10):
 //!
-//! 1. **The QD-1 × 1-shard identity** — a one-shard [`ShardedDb`] at
-//!    concurrency 1, prefetch off, immediate forces replays the
-//!    serialized `execute()` engine bit for bit: clock, stall ledger,
-//!    histograms, WAL bytes, device counters. This is the anchor that
-//!    proves the coordinator adds *nothing* until shards and queue
-//!    depth are dialed up.
-//! 2. **No cross-shard commit without every prepare** — under arbitrary
+//! 1. **No cross-shard commit without every prepare** — under arbitrary
 //!    fault plans (program fails, elevated RBER), a durable `Commit`
 //!    for a cross-shard transaction implies a durable `Prepare` on
 //!    every participant, aborted transactions never leave a `Commit`
 //!    anywhere, and recovery only resurrects decided transactions.
-//! 3. **Deterministic replay** — the same inputs on identically built
+//! 2. **Deterministic replay** — the same inputs on identically built
 //!    deployments produce byte-identical schedules for N ∈ {2, 4, 8}.
+//!
+//! The QD-1 × 1-shard identity lives with the other managers' in
+//! `exec_props`.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -202,56 +199,6 @@ fn flaky_sharded(n: usize, fail_every: u64) -> ShardedDb<FlakyWalBackend> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// QD-1 × 1-shard == serialized `execute()`, bit for bit.
-    #[test]
-    fn qd1_one_shard_is_bit_identical_to_execute(inputs in arb_inputs()) {
-        let mut serial = DbConfig::builder()
-            .data_pages(DATA_PAGES)
-            .log_pages(16)
-            .buffer_frames(32)
-            .build_stack(StackConfig::blk_mq(1), SsdConfig::modern());
-        for t in &inputs {
-            serial.execute(&t.accesses, t.log_bytes);
-        }
-
-        let mut one = sharded(1, FaultPlan::none());
-        let report = one.run(&inputs, &ExecConfig::serialized());
-
-        prop_assert_eq!(report.committed, inputs.len() as u64);
-        let shard = one.shard(0);
-        prop_assert_eq!(shard.now(), serial.now(), "virtual clocks must match");
-        prop_assert_eq!(shard.stats(), serial.stats(), "stall ledger must match");
-        prop_assert_eq!(shard.txn_latency(), serial.txn_latency());
-        prop_assert_eq!(shard.commit_latency(), serial.commit_latency());
-        prop_assert_eq!(
-            shard.wal_backend().stats().log_forces,
-            serial.wal_backend().stats().log_forces
-        );
-        prop_assert_eq!(
-            shard.wal_backend().stats().log_bytes,
-            serial.wal_backend().stats().log_bytes
-        );
-        prop_assert_eq!(
-            shard.backend().stats().page_reads,
-            serial.backend().stats().page_reads
-        );
-        prop_assert_eq!(
-            shard.backend().stats().steal_writes,
-            serial.backend().stats().steal_writes
-        );
-        // byte-level observable: identical record owners everywhere
-        let mut one = one;
-        for page in 0..DATA_PAGES {
-            for slot in 0..SLOTS {
-                prop_assert_eq!(
-                    one.shard_mut(0).visible_owner(page, slot),
-                    serial.visible_owner(page, slot),
-                    "owner mismatch at page {} slot {}", page, slot
-                );
-            }
-        }
-    }
 
     /// Two-phase safety under arbitrary fault plans: durable `Commit`
     /// for a cross-shard transaction ⇒ durable `Prepare` on every

@@ -3,8 +3,8 @@
 //! [`crate::driver`] pushes raw page I/O into an [`requiem_ssd::Ssd`];
 //! this module is the same closed-loop discipline one layer up: it feeds
 //! a TPC-B-flavoured transaction mix ([`crate::oltp`]) into
-//! [`requiem_db::Database::run_concurrent`], which keeps N transactions
-//! in flight over the batched read path and the shared group commit.
+//! [`requiem_db::ShardedDb::run`], which keeps N transactions in flight
+//! per shard over the batched read path and the shared group commit.
 //! Transaction *concurrency* is the database's queue depth — the §2.1
 //! argument ("SSDs require a high level of parallelism") restated at the
 //! storage-manager interface.
@@ -13,7 +13,7 @@
 //! a pure function of `(seed, config)` — the determinism CI job diffs
 //! experiment output byte-for-byte.
 
-use requiem_db::{Database, ExecConfig, ExecReport, PersistenceBackend, TxnInput};
+use requiem_db::{ExecConfig, PersistenceBackend, ShardedDb, ShardedReport, TxnInput};
 
 use crate::oltp::{OltpGen, Txn};
 
@@ -48,23 +48,23 @@ pub fn oltp_inputs(gen: &mut OltpGen, count: u64) -> Vec<TxnInput> {
 }
 
 /// Run `count` OLTP transactions through `db` as a closed loop of
-/// `cfg.concurrency` in-flight transactions. The database must already
-/// be loaded.
+/// `cfg.concurrency` in-flight transactions per shard. The database
+/// must already be loaded.
 pub fn run_oltp_closed_loop<B: PersistenceBackend>(
-    db: &mut Database<B>,
+    db: &mut ShardedDb<B>,
     gen: &mut OltpGen,
     count: u64,
     cfg: &ExecConfig,
-) -> ExecReport {
+) -> ShardedReport {
     let inputs = oltp_inputs(gen, count);
-    db.run_concurrent(&inputs, cfg)
+    db.run(&inputs, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oltp::OltpConfig;
-    use requiem_db::{DbConfig, LegacyBackend};
+    use requiem_db::{Database, DbConfig, LegacyBackend};
     use requiem_ssd::SsdConfig;
 
     fn small_db() -> Database<LegacyBackend> {
@@ -78,6 +78,10 @@ mod tests {
         let mut db = Database::new(cfg, LegacyBackend::new(ssd_cfg, 256, 64));
         db.load();
         db
+    }
+
+    fn one_shard(db: Database<LegacyBackend>) -> ShardedDb<LegacyBackend> {
+        ShardedDb::new(vec![db], 256)
     }
 
     fn oltp() -> OltpGen {
@@ -103,7 +107,7 @@ mod tests {
 
     #[test]
     fn closed_loop_runs_the_mix_to_completion() {
-        let mut db = small_db();
+        let mut db = one_shard(small_db());
         let report = run_oltp_closed_loop(
             &mut db,
             &mut oltp(),
@@ -114,7 +118,7 @@ mod tests {
             },
         );
         assert_eq!(report.txns, 40);
-        assert_eq!(db.stats().commits, 40);
+        assert_eq!(db.shard(0).stats().commits, 40);
         assert!(report.tps > 0.0);
         assert_eq!(
             report.read_only_latency.count() + report.update_latency.count(),
@@ -130,8 +134,9 @@ mod tests {
         for t in &inputs {
             serial.execute(&t.accesses, t.log_bytes);
         }
-        let mut conc = small_db();
+        let mut conc = one_shard(small_db());
         run_oltp_closed_loop(&mut conc, &mut oltp(), 40, &ExecConfig::serialized());
+        let conc = conc.shard(0);
         assert_eq!(conc.now(), serial.now(), "QD-1 identity through the driver");
         assert_eq!(conc.txn_latency(), serial.txn_latency());
     }

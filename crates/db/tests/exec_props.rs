@@ -10,8 +10,9 @@
 //!    (serialized) fetches leave it.
 //! 3. **The QD-1 identity holds under random access mixes** — on every
 //!    storage manager (legacy, block stack, cooperating logs, vision)
-//!    and both WAL media (flash, PCM), the executor at concurrency 1
-//!    replays the serialized `execute()` engine bit for bit.
+//!    and both WAL media (flash, PCM), for a half-dirty mix and a
+//!    commit-heavy one, the executor at concurrency 1 replays the
+//!    serialized `execute()` engine bit for bit.
 //! 4. **Forces park instead of stalling the loop** — an immediate
 //!    policy keeps one force per commit at depth, and the PCM WAL turns
 //!    queue depth into throughput.
@@ -49,54 +50,86 @@ fn small_db(buffer_frames: usize) -> Database<LegacyBackend> {
     db
 }
 
-/// The single executor: the coordinator over one shard.
+/// The single executor: the coordinator over one shard of `pages` pages.
 fn run_one<B: PersistenceBackend>(
     db: Database<B>,
+    pages: u64,
     inputs: &[TxnInput],
     cfg: &ExecConfig,
 ) -> (ShardedDb<B>, ShardedReport) {
-    let mut one = ShardedDb::new(vec![db], DATA_PAGES);
+    let mut one = ShardedDb::new(vec![db], pages);
     let report = one.run(inputs, cfg);
     (one, report)
 }
 
-fn arb_txn() -> impl Strategy<Value = TxnInput> {
+/// One random transaction over `pages` pages; each access is dirty
+/// with probability `dirty_quarters / 4`.
+fn arb_txn(pages: u64, dirty_quarters: u8) -> impl Strategy<Value = TxnInput> {
     (
-        proptest::collection::vec((0..DATA_PAGES, 0..SLOTS, 0u8..2), 1..6),
+        proptest::collection::vec((0..pages, 0..SLOTS, 0u8..4), 1..6),
         32u32..512,
     )
-        .prop_map(|(raw, log_bytes)| TxnInput {
+        .prop_map(move |(raw, log_bytes)| TxnInput {
             accesses: raw
                 .into_iter()
-                .map(|(page, slot, dirty)| (page, slot, dirty == 1))
+                .map(|(page, slot, d)| (page, slot, d < dirty_quarters))
                 .collect(),
             log_bytes,
         })
 }
 
 fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
-    proptest::collection::vec(arb_txn(), 1..24)
+    proptest::collection::vec(arb_txn(DATA_PAGES, 2), 1..24)
 }
 
 /// Every (page, slot)'s visible owner — the byte-level observable.
-fn owners<B: PersistenceBackend>(db: &mut Database<B>) -> Vec<u64> {
-    (0..DATA_PAGES)
+fn owners<B: PersistenceBackend>(db: &mut Database<B>, pages: u64) -> Vec<u64> {
+    (0..pages)
         .flat_map(|p| (0..SLOTS).map(move |s| (p, s)))
         .map(|(p, s)| db.visible_owner(p, s))
         .collect()
+}
+
+/// An identity workload: the key space, the pool it runs in, and the
+/// share of dirty accesses (in quarters).
+#[derive(Clone, Copy)]
+struct Shape {
+    pages: u64,
+    frames: usize,
+    dirty_quarters: u8,
+}
+
+/// Half the accesses dirty over 64 pages in a 16-frame pool.
+const MIXED: Shape = Shape {
+    pages: DATA_PAGES,
+    frames: 16,
+    dirty_quarters: 2,
+};
+/// Commit-heavy: three quarters of the accesses dirty over 96 pages in
+/// a 24-frame pool — the shape where the WAL medium matters most.
+const COMMIT_HEAVY: Shape = Shape {
+    pages: 96,
+    frames: 24,
+    dirty_quarters: 3,
+};
+
+/// Up to 40 random transactions of one shape.
+fn arb_mix(shape: Shape) -> impl Strategy<Value = Vec<TxnInput>> {
+    proptest::collection::vec(arb_txn(shape.pages, shape.dirty_quarters), 1..40)
 }
 
 /// A small pool (steals) and, when `checkpoint_every > 0`, frequent
 /// checkpoints (log truncation), so the identity covers every WAL call
 /// site, not just the commit force.
 fn loaded<B: PersistenceBackend>(
+    shape: Shape,
     wal: &WalConfig,
     checkpoint_every: u64,
     backend: B,
 ) -> Database<B> {
     let cfg = DbConfig {
-        data_pages: DATA_PAGES,
-        buffer_frames: 16,
+        data_pages: shape.pages,
+        buffer_frames: shape.frames,
         checkpoint_every,
         wal: wal.clone(),
         ..DbConfig::default()
@@ -108,9 +141,10 @@ fn loaded<B: PersistenceBackend>(
 
 /// QD 1 on the coordinator == serialized `execute()`: clock, stall
 /// ledger, histograms, WAL counters, PCM wear, device counters, and
-/// every record owner.
+/// every record owner — with nothing coalesced or prefetched.
 fn assert_qd1_identity<B: PersistenceBackend>(
     label: &str,
+    shape: Shape,
     make: impl Fn() -> Database<B>,
     inputs: &[TxnInput],
 ) -> Result<(), TestCaseError> {
@@ -118,13 +152,16 @@ fn assert_qd1_identity<B: PersistenceBackend>(
     for t in inputs {
         serial.execute(&t.accesses, t.log_bytes);
     }
-    let (mut one, report) = run_one(make(), inputs, &ExecConfig::serialized());
+    let (mut one, report) = run_one(make(), shape.pages, inputs, &ExecConfig::serialized());
     prop_assert_eq!(
         report.committed,
         inputs.len() as u64,
         "{}: committed",
         label
     );
+    let exec = &report.per_shard[0];
+    prop_assert_eq!(exec.coalesced, 0, "{}: coalesced fetches", label);
+    prop_assert_eq!(exec.prefetch.issued, 0, "{}: prefetches", label);
     let conc = one.shard_mut(0);
     prop_assert_eq!(conc.now(), serial.now(), "{}: clock", label);
     prop_assert_eq!(conc.stats(), serial.stats(), "{}: stall ledger", label);
@@ -153,8 +190,8 @@ fn assert_qd1_identity<B: PersistenceBackend>(
     prop_assert_eq!(cb.page_reads, sb.page_reads, "{}: page reads", label);
     prop_assert_eq!(cb.steal_writes, sb.steal_writes, "{}: steal writes", label);
     prop_assert_eq!(
-        owners(conc),
-        owners(&mut serial),
+        owners(conc, shape.pages),
+        owners(&mut serial, shape.pages),
         "{}: record owners",
         label
     );
@@ -178,7 +215,7 @@ proptest! {
             group: GroupCommitPolicy::batched(batch),
             ..ExecConfig::serialized()
         };
-        let (db, report) = run_one(small_db(16), &inputs, &cfg);
+        let (db, report) = run_one(small_db(16), DATA_PAGES, &inputs, &cfg);
         let commit_order = &report.per_shard[0].commit_order;
         prop_assert_eq!(commit_order.len(), inputs.len());
         for w in commit_order.windows(2) {
@@ -231,66 +268,96 @@ proptest! {
             concurrency,
             ..ExecConfig::serialized()
         };
-        let (mut conc, _) = run_one(small_db(4), &inputs, &cfg);
-        prop_assert_eq!(owners(conc.shard_mut(0)), owners(&mut serial));
+        let (mut conc, _) = run_one(small_db(4), DATA_PAGES, &inputs, &cfg);
+        prop_assert_eq!(owners(conc.shard_mut(0), DATA_PAGES), owners(&mut serial, DATA_PAGES));
     }
 }
 
+/// The identity on every storage manager × WAL medium for one shape.
+fn assert_qd1_identity_everywhere(
+    shape_name: &str,
+    shape: Shape,
+    inputs: &[TxnInput],
+) -> Result<(), TestCaseError> {
+    let pcm = WalConfig::Pcm(PcmWalConfig {
+        bytes: 1 << 20,
+        timing: PcmTiming::gen1(),
+        gap_interval: 64,
+    });
+    let pages = shape.pages;
+    for (medium, wal) in [("flash", WalConfig::Flash), ("pcm", pcm)] {
+        assert_qd1_identity(
+            &format!("{shape_name}/legacy/{medium}"),
+            shape,
+            || {
+                loaded(
+                    shape,
+                    &wal,
+                    16,
+                    LegacyBackend::new(bare_ssd(), pages, LOG_PAGES),
+                )
+            },
+            inputs,
+        )?;
+        // no checkpoints on the block stack: its checkpoint batch
+        // shares the core's in-flight window, which the executor
+        // narrows to its read population (1 at QD 1) while
+        // `execute()` keeps the default, so the two diverge there
+        assert_qd1_identity(
+            &format!("{shape_name}/stack/{medium}"),
+            shape,
+            || {
+                let be = BlockStackBackend::new(
+                    StackConfig::blk_mq(1),
+                    SsdConfig::modern(),
+                    pages,
+                    LOG_PAGES,
+                );
+                loaded(shape, &wal, 0, be)
+            },
+            inputs,
+        )?;
+        assert_qd1_identity(
+            &format!("{shape_name}/coop/{medium}"),
+            shape,
+            || {
+                let nameless = NamelessConfig::from(&SsdConfig::modern());
+                loaded(
+                    shape,
+                    &wal,
+                    16,
+                    CoopLogBackend::new(nameless, pages, LOG_PAGES),
+                )
+            },
+            inputs,
+        )?;
+        assert_qd1_identity(
+            &format!("{shape_name}/vision/{medium}"),
+            shape,
+            || {
+                let be = VisionBackend::new(SsdConfig::modern(), pages, 1 << 22);
+                loaded(shape, &wal, 16, be)
+            },
+            inputs,
+        )?;
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The QD-1 identity under arbitrary mixes, on every storage manager
-    /// × WAL medium: concurrency 1 + prefetch off + immediate forces
-    /// replays the serialized engine bit for bit.
+    /// × WAL medium, for a half-dirty mix and a commit-heavy one:
+    /// concurrency 1 + prefetch off + immediate forces replays the
+    /// serialized engine bit for bit.
     #[test]
     fn qd1_identity_on_every_manager_and_wal(
-        inputs in proptest::collection::vec(arb_txn(), 1..40),
+        mixed in arb_mix(MIXED),
+        heavy in arb_mix(COMMIT_HEAVY),
     ) {
-        let pcm = WalConfig::Pcm(PcmWalConfig {
-            bytes: 1 << 20,
-            timing: PcmTiming::gen1(),
-            gap_interval: 64,
-        });
-        for (medium, wal) in [("flash", WalConfig::Flash), ("pcm", pcm)] {
-            assert_qd1_identity(
-                &format!("legacy/{medium}"),
-                || loaded(&wal, 16, LegacyBackend::new(bare_ssd(), DATA_PAGES, LOG_PAGES)),
-                &inputs,
-            )?;
-            // no checkpoints on the block stack: its checkpoint batch
-            // shares the core's in-flight window, which the executor
-            // narrows to its read population (1 at QD 1) while
-            // `execute()` keeps the default, so the two diverge there
-            assert_qd1_identity(
-                &format!("stack/{medium}"),
-                || {
-                    let be = BlockStackBackend::new(
-                        StackConfig::blk_mq(1),
-                        SsdConfig::modern(),
-                        DATA_PAGES,
-                        LOG_PAGES,
-                    );
-                    loaded(&wal, 0, be)
-                },
-                &inputs,
-            )?;
-            assert_qd1_identity(
-                &format!("coop/{medium}"),
-                || {
-                    let nameless = NamelessConfig::from(&SsdConfig::modern());
-                    loaded(&wal, 16, CoopLogBackend::new(nameless, DATA_PAGES, LOG_PAGES))
-                },
-                &inputs,
-            )?;
-            assert_qd1_identity(
-                &format!("vision/{medium}"),
-                || {
-                    let be = VisionBackend::new(SsdConfig::modern(), DATA_PAGES, 1 << 22);
-                    loaded(&wal, 16, be)
-                },
-                &inputs,
-            )?;
-        }
+        assert_qd1_identity_everywhere("mixed", MIXED, &mixed)?;
+        assert_qd1_identity_everywhere("commit-heavy", COMMIT_HEAVY, &heavy)?;
     }
 }
 

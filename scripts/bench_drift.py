@@ -2,7 +2,8 @@
 """Drift gate for the checked-in experiment snapshots.
 
 Each experiment binary ends its stdout with a ```json block. This script
-runs the binaries at their full presets, extracts that block, and
+runs each binary twice at its full preset, requires the two stdouts to be
+byte-identical (the determinism check), extracts the trailing block, and
 compares it with the matching BENCH_exp*.json. Keys starting with `_`
 (`_regenerate`, the wall-clock `_perf`) are ignored at every level: the
 rest is simulated and deterministic, so any difference means a number
@@ -15,13 +16,13 @@ Usage:
                                            # trailing JSON, `_perf`
                                            # re-timed (best of 3)
 
-Binaries are read from target/release (override with --bin-dir); build
-them first with
+Binaries are read from target/release; build them first with
     cargo build --release -p requiem-bench --bin exp13_db_qd_sweep \\
         --bin exp14_cooperating_logs --bin exp15_pcm_wal --bin exp17_shard_sweep
 """
 
 import argparse
+import difflib
 import json
 import subprocess
 import sys
@@ -98,8 +99,22 @@ def dump(snapshot: dict) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def runs(name: str, binary: Path, count: int) -> list[tuple[str, float]]:
+    """Run a binary `count` times; fail unless every stdout is identical."""
+    outputs = [run(binary) for _ in range(count)]
+    first = outputs[0][0]
+    for out, _ in outputs[1:]:
+        if out != first:
+            diff = difflib.unified_diff(
+                first.splitlines(), out.splitlines(), "run 1", "run 2", lineterm=""
+            )
+            sys.stderr.write("\n".join(list(diff)[:40]) + "\n")
+            raise SystemExit(f"bench_drift: {name} is not deterministic across runs")
+    return outputs
+
+
 def check(name: str, binary: Path, snapshot: Path) -> bool:
-    stdout, wall_ms = run(binary)
+    (stdout, wall_ms), _ = runs(name, binary, 2)
     new = simulated(trailing_json(stdout))
     old = simulated(json.loads(snapshot.read_text()))
     diffs = list(differences(old, new))
@@ -116,10 +131,8 @@ def check(name: str, binary: Path, snapshot: Path) -> bool:
 
 def write(name: str, binary: Path, snapshot: Path) -> None:
     old = json.loads(snapshot.read_text())
-    outputs = [run(binary) for _ in range(3)]
+    outputs = runs(name, binary, 3)
     first = trailing_json(outputs[0][0])
-    if any(trailing_json(out) != first for out, _ in outputs[1:]):
-        raise SystemExit(f"bench_drift: {name} is not deterministic across runs")
     best_ms = max(1, round(min(ms for _, ms in outputs)))
     fresh = {k: v for k, v in old.items() if k.startswith("_")}
     if "_perf" in fresh:
@@ -135,7 +148,6 @@ def write(name: str, binary: Path, snapshot: Path) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("experiments", nargs="*", help="subset of " + ", ".join(GATED))
-    ap.add_argument("--bin-dir", default=str(ROOT / "target" / "release"))
     ap.add_argument("--write", action="store_true", help="regenerate instead of checking")
     args = ap.parse_args()
     names = args.experiments or list(GATED)
@@ -145,7 +157,7 @@ def main() -> int:
     ok = True
     print("bench_drift: " + ("regenerating" if args.write else "checking") + " " + ", ".join(names))
     for name in names:
-        binary = Path(args.bin_dir) / GATED[name]
+        binary = ROOT / "target" / "release" / GATED[name]
         snapshot = ROOT / f"BENCH_{name}.json"
         if not binary.exists():
             raise SystemExit(f"bench_drift: {binary} missing; build it first (see --help)")

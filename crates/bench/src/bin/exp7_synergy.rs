@@ -11,7 +11,7 @@ use requiem_bench::{note, section};
 use requiem_db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
 use requiem_db::engine::{Database, DbConfig};
 use requiem_sim::table::Align;
-use requiem_sim::time::SimDuration;
+use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Table;
 use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
@@ -60,6 +60,24 @@ fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, txns: u64) -> Ru
         steals: db.backend().stats().steal_writes,
         read_stall: s.read_stall,
         commit_stall: s.commit_stall,
+    }
+}
+
+impl RunResult {
+    /// This run as one JSON object of the trailing summary block.
+    fn json(&self) -> String {
+        format!(
+            "{{\"backend\":\"{}\",\"tps\":{:.1},\"txn_p50_ns\":{},\"txn_p99_ns\":{},\"commit_p50_ns\":{},\"commit_p99_ns\":{},\"steals\":{},\"read_stall_ns\":{},\"commit_stall_ns\":{}}}",
+            self.label,
+            self.tps,
+            self.txn_p50,
+            self.txn_p99,
+            self.commit_p50,
+            self.commit_p99,
+            self.steals,
+            self.read_stall.as_nanos(),
+            self.commit_stall.as_nanos()
+        )
     }
 }
 
@@ -162,15 +180,8 @@ fn main() {
             txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
         db.execute(&acc, txn.log_bytes);
     }
-    tbl.row([
-        "legacy (flash steals)".to_string(),
-        format!(
-            "{:.0}",
-            1000.0 / db.now().since(t0).as_secs_f64().max(1e-12)
-        ),
-        format!("{}", db.backend().stats().steal_writes),
-        format!("{}", db.stats().steal_stall),
-    ]);
+    let mut pressure = Vec::new();
+    pressure.push(pressure_row("legacy (flash steals)", &db, t0, &mut tbl));
     let mut flash_cfg = SsdConfig::modern();
     flash_cfg.buffer.capacity_pages = 0;
     let be = VisionBackend::new(flash_cfg, small.data_pages, 1 << 22);
@@ -184,21 +195,19 @@ fn main() {
             txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
         db.execute(&acc, txn.log_bytes);
     }
-    tbl.row([
-        "vision (PCM staging steals)".to_string(),
-        format!(
-            "{:.0}",
-            1000.0 / db.now().since(t0).as_secs_f64().max(1e-12)
-        ),
-        format!("{}", db.backend().stats().steal_writes),
-        format!("{}", db.stats().steal_stall),
-    ]);
+    pressure.push(pressure_row(
+        "vision (PCM staging steals)",
+        &db,
+        t0,
+        &mut tbl,
+    ));
     println!("{tbl}");
     note("Buffer steals are the second synchronous pattern P1 names; staging them in PCM removes the flash program from the blocking path.");
 
     section("Group-commit ablation: how far can software alone close the gap?");
     note("Group commit amortizes the flash log force over N transactions — the classic software mitigation. It trades durability lag (a crash loses up to N-1 commits) and still cannot reach the PCM path.");
     let mut tbl = Table::new(["configuration", "txns/s", "commit p99"]).align(0, Align::Left);
+    let mut grouped = Vec::new();
     for group in [1u32, 8, 64] {
         let cfg2 = DbConfig {
             group_commit: group,
@@ -217,6 +226,7 @@ fn main() {
             format!("{:.0}", r.tps),
             format!("{}", SimDuration::from_nanos(r.commit_p99)),
         ]);
+        grouped.push(r.json());
     }
     {
         let mut flash_cfg = SsdConfig::modern();
@@ -232,7 +242,39 @@ fn main() {
             format!("{:.0}", r.tps),
             format!("{}", SimDuration::from_nanos(r.commit_p99)),
         ]);
+        grouped.push(r.json());
     }
     println!("{tbl}");
     note("Expected shape: grouping buys throughput but keeps multi-hundred-µs commit tails and weakens durability; the PCM path gives both low latency and per-commit durability.");
+
+    section("Summary (JSON)");
+    let oltp: Vec<String> = results.iter().map(RunResult::json).collect();
+    println!("```json");
+    println!("{{\"txns\":{txns},\"oltp\":[{}],", oltp.join(","));
+    println!("\"pressure\":[{}],", pressure.join(","));
+    println!("\"group_commit\":[{}]}}", grouped.join(","));
+    println!("```");
+}
+
+/// One memory-pressure row: the table cells, and the same numbers as a
+/// JSON object for the summary block.
+fn pressure_row<B: PersistenceBackend>(
+    label: &str,
+    db: &Database<B>,
+    t0: SimTime,
+    tbl: &mut Table,
+) -> String {
+    let tps = 1000.0 / db.now().since(t0).as_secs_f64().max(1e-12);
+    let steals = db.backend().stats().steal_writes;
+    let stall = db.stats().steal_stall;
+    tbl.row([
+        label.to_string(),
+        format!("{tps:.0}"),
+        format!("{steals}"),
+        format!("{stall}"),
+    ]);
+    format!(
+        "{{\"backend\":\"{label}\",\"tps\":{tps:.1},\"steals\":{steals},\"steal_stall_ns\":{}}}",
+        stall.as_nanos()
+    )
 }

@@ -2,8 +2,10 @@
 //! on the legacy and vision backends.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use requiem_db::backend::{LegacyBackend, VisionBackend};
+use requiem_block::StackConfig;
+use requiem_db::backend::VisionBackend;
 use requiem_db::engine::{Database, DbConfig};
+use requiem_db::BlockStackBackend;
 use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 
@@ -25,7 +27,7 @@ fn bench_txn(c: &mut Criterion) {
     g.bench_function("legacy_backend", |b| {
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, 1024, 256);
+        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, 1024, 256);
         let mut db = Database::new(db_cfg(), be);
         db.load();
         let mut gen = OltpGen::new(OltpConfig::default(), 1);

@@ -26,9 +26,10 @@
 //! The probe JSON at the end feeds the determinism CI job.
 
 use requiem_bench::{note, section};
+use requiem_block::StackConfig;
 use requiem_db::{
     BlockStackBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig, ShardedDb,
+    PersistenceBackend, PrefetchConfig, ShardedDb,
 };
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
@@ -72,7 +73,7 @@ fn builder() -> DbBuilder {
 
 /// One executor over the block stack: the coordinator with one shard.
 fn stack_db() -> ShardedDb<BlockStackBackend> {
-    builder().build_sharded_stack(requiem_block::StackConfig::blk_mq(1), figure1_device())
+    builder().build_sharded_stack(StackConfig::blk_mq(1), figure1_device())
 }
 
 fn oltp(read_only_fraction: f64) -> OltpGen {
@@ -355,11 +356,15 @@ fn main() {
     // ------------------------------------------------------------------
     section("13d. QD 1: completion-driven executor vs serialized engine");
     let inputs = oltp_inputs(&mut oltp(0.5), 200);
-    let mut serial: Database<LegacyBackend> = builder().build_legacy(figure1_device());
+    let mut serial: Database<BlockStackBackend> =
+        builder().build_stack(StackConfig::bare(1), figure1_device());
     for t in &inputs {
         serial.execute(&t.accesses, t.log_bytes);
     }
-    let mut one = ShardedDb::new(vec![builder().build_legacy(figure1_device())], DATA_PAGES);
+    let mut one = ShardedDb::new(
+        vec![builder().build_stack(StackConfig::bare(1), figure1_device())],
+        DATA_PAGES,
+    );
     one.run(&inputs, &ExecConfig::serialized());
     let conc = one.shard(0);
     let identical = conc.now() == serial.now()

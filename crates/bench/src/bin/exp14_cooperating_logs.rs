@@ -31,9 +31,10 @@
 //! The JSON at the end feeds the determinism CI job.
 
 use requiem_bench::{note, section};
+use requiem_block::StackConfig;
 use requiem_db::{
-    CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport, GroupCommitPolicy,
-    LegacyBackend, PersistenceBackend, PrefetchConfig, ShardedDb, StorageManager,
+    BlockStackBackend, CoopLogBackend, Database, DbBuilder, DbConfig, ExecConfig, ExecReport,
+    GroupCommitPolicy, PersistenceBackend, PrefetchConfig, ShardedDb, StorageManager,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_sim::table::Align;
@@ -95,8 +96,8 @@ fn oltp(read_only_fraction: f64) -> OltpGen {
     )
 }
 
-fn block_db() -> Database<LegacyBackend> {
-    builder().build_legacy(pressured_device())
+fn block_db() -> Database<BlockStackBackend> {
+    builder().build_stack(StackConfig::bare(1), pressured_device())
 }
 
 fn coop_db() -> Database<CoopLogBackend> {

@@ -34,8 +34,9 @@
 //! The JSON at the end feeds the determinism CI job.
 
 use requiem_bench::{note, section};
+use requiem_block::StackConfig;
 use requiem_db::{
-    DbConfig, ExecReport, GroupCommitPolicy, LegacyBackend, PcmWalConfig, ShardedDb, WalConfig,
+    BlockStackBackend, DbConfig, ExecReport, GroupCommitPolicy, PcmWalConfig, ShardedDb, WalConfig,
 };
 use requiem_pcm::PcmTiming;
 use requiem_sim::table::Align;
@@ -154,7 +155,7 @@ struct Run {
     qd: usize,
     report: ExecReport,
     commit_latency: Histogram,
-    db: ShardedDb<LegacyBackend>,
+    db: ShardedDb<BlockStackBackend>,
 }
 
 /// One closed-loop run of the trace under (policy, qd) on a fresh
@@ -167,7 +168,7 @@ fn run(policy: Policy, qd: usize, probe: Option<&Probe>) -> Run {
         .group(policy.group(qd))
         .concurrency(qd)
         .wal(policy.wal());
-    let mut db = b.build_legacy(device());
+    let mut db = b.build_stack(StackConfig::bare(1), device());
     if let Some(p) = probe {
         db.attach_probe(p.clone());
     }

@@ -8,8 +8,10 @@
 //! The workload is a TPC-B-flavoured OLTP mix.
 
 use requiem_bench::{note, section};
-use requiem_db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
+use requiem_block::StackConfig;
+use requiem_db::backend::{PersistenceBackend, VisionBackend};
 use requiem_db::engine::{Database, DbConfig};
+use requiem_db::BlockStackBackend;
 use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::Table;
@@ -100,7 +102,7 @@ fn main() {
     // legacy, conservative: no write cache trusted
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let be = LegacyBackend::new(ssd_cfg, db_cfg.data_pages, 256);
+    let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, db_cfg.data_pages, 256);
     results.push(run(
         "legacy (flash, no write cache)",
         Database::new(db_cfg.clone(), be),
@@ -108,7 +110,12 @@ fn main() {
     ));
 
     // legacy with a battery-backed write cache (ablation)
-    let be = LegacyBackend::new(SsdConfig::modern(), db_cfg.data_pages, 256);
+    let be = BlockStackBackend::new(
+        StackConfig::bare(1),
+        SsdConfig::modern(),
+        db_cfg.data_pages,
+        256,
+    );
     results.push(run(
         "legacy (flash + battery cache)",
         Database::new(db_cfg.clone(), be),
@@ -169,7 +176,7 @@ fn main() {
     let mut tbl = Table::new(["backend", "txns/s", "steals", "steal stall"]).align(0, Align::Left);
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let be = LegacyBackend::new(ssd_cfg, small.data_pages, 256);
+    let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, small.data_pages, 256);
     let mut db = Database::new(small.clone(), be);
     db.load();
     let mut gen = OltpGen::new(OltpConfig::default(), 9);
@@ -215,7 +222,7 @@ fn main() {
         };
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, cfg2.data_pages, 256);
+        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg2.data_pages, 256);
         let r = run(
             &format!("legacy, group commit = {group}"),
             Database::new(cfg2, be),

@@ -25,6 +25,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use requiem_sim::completion::{CompletionHeap, InflightWindow};
+use requiem_sim::resource::Grant;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, Histogram, Layer, Probe, Resource, ResourceBank};
 use serde::{Deserialize, Serialize};
@@ -95,6 +96,29 @@ impl StackConfig {
             ..Self::blk_mq(cores)
         }
     }
+
+    /// The bare device behind the block interface: per-core queues,
+    /// interrupt completions, and zero CPU cost on every stage. Zero
+    /// stages are skipped outright (see [`IoStack`]), so a serialized
+    /// command completes exactly when the device does and a batched one
+    /// when it is reaped — the legacy design's host, which the paper
+    /// charges only for the device. Polling cannot be bare: its spin
+    /// covers the device time.
+    pub fn bare(cores: u32) -> Self {
+        StackConfig {
+            cores,
+            queue_mode: QueueMode::PerCore,
+            completion: CompletionMode::Interrupt,
+            cpu: CpuCosts {
+                submit: SimDuration::ZERO,
+                queue_lock: SimDuration::ZERO,
+                doorbell: SimDuration::ZERO,
+                interrupt: SimDuration::ZERO,
+                context_switch: SimDuration::ZERO,
+                complete: SimDuration::ZERO,
+            },
+        }
+    }
 }
 
 /// Completion of one I/O through the stack.
@@ -143,7 +167,24 @@ pub struct StackReport {
     pub makespan: SimDuration,
 }
 
+/// Reserve a `d`-long CPU or queue-lock stage on `res` from `at`. A
+/// zero-length stage is granted at `at` without touching `res`: a free
+/// stage must not queue a command behind earlier work on the core (an
+/// IRQ slot parked at a background write's device completion, say).
+fn stage(res: &mut Resource, at: SimTime, d: SimDuration) -> Grant {
+    if d.is_zero() {
+        Grant { start: at, end: at }
+    } else {
+        res.reserve(at, d)
+    }
+}
+
 /// The composed stack over a backend.
+///
+/// Every CPU and queue-lock stage is a reservation on the core's or the
+/// queue's [`Resource`], except a zero-length one: it neither waits for
+/// the resource nor occupies it, so a stack whose costs are all zero
+/// ([`StackConfig::bare`]) adds nothing to the device's timeline.
 pub struct IoStack<B: StorageBackend> {
     cfg: StackConfig,
     backend: B,
@@ -281,9 +322,9 @@ impl<B: StorageBackend> IoStack<B> {
         core_res: &str,
         q_res: &str,
         now: SimTime,
-        g_submit: &requiem_sim::resource::Grant,
-        g_lock: &requiem_sim::resource::Grant,
-        g_bell: &requiem_sim::resource::Grant,
+        g_submit: &Grant,
+        g_lock: &Grant,
+        g_bell: &Grant,
         admit: Option<SimTime>,
     ) {
         let Some(mut batch) = self.probe.batch() else {
@@ -330,12 +371,12 @@ impl<B: StorageBackend> IoStack<B> {
         let probing = self.probe.is_enabled();
         let scope = self.probe.open_command(req.op.as_str(), now);
         // 1. submission path on the core
-        let g_submit = self.cores.get_mut(core).reserve(now, cpu.submit);
+        let g_submit = stage(self.cores.get_mut(core), now, cpu.submit);
         // 2. request-queue lock (the contention point in single-queue mode)
         let q = self.queue_of(core);
-        let g_lock = self.queues[q].reserve(g_submit.end, cpu.queue_lock);
+        let g_lock = stage(&mut self.queues[q], g_submit.end, cpu.queue_lock);
         // 3. doorbell
-        let g_bell = self.cores.get_mut(core).reserve(g_lock.end, cpu.doorbell);
+        let g_bell = stage(self.cores.get_mut(core), g_lock.end, cpu.doorbell);
         if probing {
             let core_res = format!("core{core}");
             let q_res = format!("q{q}");
@@ -361,14 +402,12 @@ impl<B: StorageBackend> IoStack<B> {
             CompletionMode::Polling => {
                 // core spins through device time, then completes
                 let spin = dev_done.since(g_bell.end) + cpu.complete;
-                let g = self.cores.get_mut(core).reserve(g_bell.end, spin);
+                let g = stage(self.cores.get_mut(core), g_bell.end, spin);
                 (g.end, cpu.per_io_polling() + device_time)
             }
             CompletionMode::Interrupt => {
-                let g = self
-                    .cores
-                    .get_mut(core)
-                    .reserve(dev_done, cpu.interrupt + cpu.context_switch + cpu.complete);
+                let irq = cpu.interrupt + cpu.context_switch + cpu.complete;
+                let g = stage(self.cores.get_mut(core), dev_done, irq);
                 (g.end, cpu.per_io_interrupt())
             }
         };
@@ -429,14 +468,14 @@ impl<B: StorageBackend> IoStack<B> {
         // 1. per-command submission path on the core (serial on the core)
         let g_submits: Vec<_> = reqs
             .iter()
-            .map(|_| self.cores.get_mut(core).reserve(now, cpu.submit))
+            .map(|_| stage(self.cores.get_mut(core), now, cpu.submit))
             .collect();
         let batch_ready = g_submits.last().expect("non-empty batch").end;
         // 2. one queue-lock acquisition for the whole batch
         let q = self.queue_of(core);
-        let g_lock = self.queues[q].reserve(batch_ready, cpu.queue_lock);
+        let g_lock = stage(&mut self.queues[q], batch_ready, cpu.queue_lock);
         // 3. one doorbell for the whole batch
-        let g_bell = self.cores.get_mut(core).reserve(g_lock.end, cpu.doorbell);
+        let g_bell = stage(self.cores.get_mut(core), g_lock.end, cpu.doorbell);
         let core_res = format!("core{core}");
         let q_res = format!("q{q}");
         let mut tags = Vec::with_capacity(reqs.len());
@@ -514,16 +553,14 @@ impl<B: StorageBackend> IoStack<B> {
         // Interrupt coalescing: one IRQ + context switch per reap.
         let mut cursor = match self.cfg.completion {
             CompletionMode::Interrupt => {
-                self.cores
-                    .get_mut(core)
-                    .reserve(now, cpu.interrupt + cpu.context_switch)
-                    .end
+                let irq = cpu.interrupt + cpu.context_switch;
+                stage(self.cores.get_mut(core), now, irq).end
             }
             CompletionMode::Polling => now,
         };
         let mut out = Vec::with_capacity(ready.len());
         for (_, p) in ready {
-            let g = self.cores.get_mut(core).reserve(cursor, cpu.complete);
+            let g = stage(self.cores.get_mut(core), cursor, cpu.complete);
             cursor = g.end;
             let done = g.end;
             if probing && p.probe_id != 0 {
@@ -638,6 +675,7 @@ impl<B: StorageBackend> IoStack<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::IoClass;
     use crate::disk::{Disk, DiskConfig};
     use requiem_ssd::{Ssd, SsdConfig};
 
@@ -735,6 +773,56 @@ mod tests {
         assert_eq!(r.ios, 64);
         assert_eq!(r.latency.count(), 64);
         assert!(r.iops > 0.0);
+    }
+
+    #[test]
+    fn zero_cost_stack_is_a_pass_through() {
+        // a write-back still on the device must not hold up a later read
+        // on the same core: with every stage free, each completion is the
+        // bare device's, through both host interfaces
+        let mut ssd_cfg = SsdConfig::modern();
+        ssd_cfg.buffer.capacity_pages = 0;
+        let zero = SimDuration::ZERO;
+        let bare = StackConfig {
+            cores: 1,
+            queue_mode: QueueMode::PerCore,
+            completion: CompletionMode::Interrupt,
+            cpu: CpuCosts {
+                submit: zero,
+                queue_lock: zero,
+                doorbell: zero,
+                interrupt: zero,
+                context_switch: zero,
+                complete: zero,
+            },
+        };
+        let mut twin = Ssd::new(ssd_cfg.clone());
+        let mut st = IoStack::new(bare, Ssd::new(ssd_cfg.clone()));
+        let mut costed = IoStack::new(StackConfig::blk_mq(1), Ssd::new(ssd_cfg));
+        let t0 = SimTime::ZERO;
+        let warm = twin.io(t0, IoRequest::write(1)).unwrap().done;
+        st.submit(t0, 0, IoRequest::write(1));
+        costed.submit(t0, 0, IoRequest::write(1));
+        let background = IoRequest::write(0).class(IoClass::Background);
+        let bg = twin.io(warm, background).unwrap();
+        let read_at = warm + SimDuration::from_nanos(1);
+        assert!(read_at < bg.done, "the read is issued under the write-back");
+        let read = twin.io(read_at, IoRequest::read(1)).unwrap();
+        let batched_at = read.done.max(bg.done);
+        let batched = twin.io(batched_at, IoRequest::read(1)).unwrap();
+        for (now, req, want) in [(warm, background, bg), (read_at, IoRequest::read(1), read)] {
+            let c = st.submit(now, 0, req);
+            assert_eq!((c.done, c.status), (want.done, want.status));
+            assert_eq!(c.cpu_time, SimDuration::ZERO);
+            let c = costed.submit(now, 0, req);
+            assert!(c.cpu_time > SimDuration::ZERO && c.done > want.done);
+        }
+        st.set_inflight_window(1);
+        st.submit_batch(batched_at, 0, &[IoRequest::read(1)]);
+        let reap = st.next_completion_time(0).expect("one read in flight");
+        let c = st.poll_completions(reap, 0);
+        assert_eq!(c.len(), 1);
+        assert_eq!((c[0].done, c[0].status), (batched.done, batched.status));
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! | checkpoint batch      | asynchronous | double-write journal (2×)  | device atomic write (1×)     |
 //! | page free             | —            | nothing (device unaware)   | TRIM                         |
 //!
+//! The legacy column is
+//! [`BlockStackBackend`](crate::stack_backend::BlockStackBackend): one
+//! flash SSD behind the block interface carries the log, the data and
+//! the journal. Over [`StackConfig::bare`](requiem_block::StackConfig::bare)
+//! it costs the host nothing; over a costed stack it also pays the OS
+//! I/O path. The vision column is [`VisionBackend`], below.
+//!
 //! The *synchronous log path* (force / truncate / recovery scan) is no
 //! longer here: it lives behind [`WalBackend`](crate::walbackend) — page
 //! backends do page I/O only, and [`PersistenceBackend::make_wal`] hands
@@ -20,14 +27,14 @@
 use std::cell::{Ref, RefCell};
 use std::rc::Rc;
 
-use requiem_iface::atomic::{double_write_journal, ExtendedSsd};
+use requiem_iface::atomic::ExtendedSsd;
 use requiem_pcm::{PcmDimm, PcmTiming};
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
-use requiem_ssd::{IoClass, IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
+use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
 
 use crate::page::{PageId, PAGE_SIZE};
-use crate::walbackend::{BareSsdLog, FlashWal, PcmWal, WalBackend};
+use crate::walbackend::{PcmWal, WalBackend};
 
 /// Host tag identifying one batched read between
 /// [`PersistenceBackend::submit_reads`] and [`PersistenceBackend::poll`].
@@ -272,238 +279,6 @@ pub trait PersistenceBackend {
 }
 
 // ---------------------------------------------------------------------
-// Legacy: everything through the block interface of one flash SSD
-// ---------------------------------------------------------------------
-
-/// The conservative design: one flash SSD behind the block interface
-/// carries the log, the data, and a double-write journal.
-pub struct LegacyBackend {
-    /// Shared with the WAL port ([`make_wal`](PersistenceBackend::make_wal)):
-    /// log forces land on the same device as the page traffic.
-    ssd: Rc<RefCell<Ssd>>,
-    /// LBA layout.
-    log_pages: u64,
-    data_base: u64,
-    journal_base: u64,
-    data_pages: u64,
-    /// Use TRIM on frees (off by default: legacy stacks rarely did).
-    pub use_trim: bool,
-    stats: BackendStats,
-    /// Queue pair for the batched read path (depth set by
-    /// [`PersistenceBackend::set_read_window`]).
-    qp: QueuePair,
-    /// Reads the device refused outright, completed at their submit
-    /// instant with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace for batched reads (pre-assigned so rejected
-    /// commands keep a stable tag).
-    next_tag: u64,
-}
-
-impl std::fmt::Debug for LegacyBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LegacyBackend")
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl LegacyBackend {
-    /// Lay out `data_pages` of data, `log_pages` of circular log, and an
-    /// equal-size journal area on one device.
-    ///
-    /// # Panics
-    /// Panics if the device is too small for the layout.
-    pub fn new(cfg: SsdConfig, data_pages: u64, log_pages: u64) -> Self {
-        let ssd = Ssd::new(cfg);
-        let exported = ssd.capacity().exported_pages;
-        let needed = log_pages + 2 * data_pages;
-        assert!(
-            needed <= exported,
-            "device too small: need {needed} pages, exported {exported}"
-        );
-        LegacyBackend {
-            ssd: Rc::new(RefCell::new(ssd)),
-            log_pages,
-            data_base: log_pages,
-            journal_base: log_pages + data_pages,
-            data_pages,
-            use_trim: false,
-            stats: BackendStats::default(),
-            qp: QueuePair::new(1),
-            rejects: Vec::new(),
-            next_tag: 0,
-        }
-    }
-
-    /// The underlying device (for write-amplification reporting).
-    pub fn ssd(&self) -> Ref<'_, Ssd> {
-        self.ssd.borrow()
-    }
-
-    /// First LBA of the data region (the static page → LBA arithmetic).
-    pub fn data_base(&self) -> u64 {
-        self.data_base
-    }
-
-    fn data_lpn(&self, page: PageId) -> Lpn {
-        assert!(page.0 < self.data_pages, "page id beyond data region");
-        Lpn(self.data_base + page.0)
-    }
-}
-
-impl PersistenceBackend for LegacyBackend {
-    fn make_wal(&mut self) -> Box<dyn WalBackend> {
-        // the log shares the device with the page traffic: the classic
-        // small-synchronous-write problem, and the FTL drags dead WAL
-        // through GC until truncation trims it
-        Box::new(FlashWal::new(
-            BareSsdLog::new(Rc::clone(&self.ssd), self.log_pages),
-            self.log_pages,
-        ))
-    }
-
-    fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
-        self.stats.page_writes += 1;
-        self.stats.logical_writes += 1;
-        let lpn = self.data_lpn(page);
-        // write-back: nobody waits on this completion
-        self.ssd
-            .borrow_mut()
-            .io(now, IoRequest::write(lpn.0).class(IoClass::Background))
-            .expect("data write failed")
-            .done
-    }
-
-    fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
-        self.stats.steal_writes += 1;
-        self.stats.logical_writes += 1;
-        let lpn = self.data_lpn(page);
-        self.ssd
-            .borrow_mut()
-            .io(now, IoRequest::write(lpn.0))
-            .expect("steal write failed")
-            .done
-    }
-
-    fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
-        self.stats.page_reads += 1;
-        let lpn = self.data_lpn(page);
-        // a refused command (worn-out device, protocol violation) surfaces
-        // as a typed Rejected status instead of tearing the engine down
-        match self.ssd.borrow_mut().io(now, IoRequest::read(lpn.0)) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
-    }
-
-    fn page_batch(&mut self, now: SimTime, pages: &[PageId]) -> SimTime {
-        if pages.is_empty() {
-            return now;
-        }
-        self.stats.batches += 1;
-        self.stats.page_writes += pages.len() as u64;
-        self.stats.logical_writes += pages.len() as u64;
-        // torn-write safety through the block interface = double-write
-        // journal: journal copies, barrier, then in-place writes
-        let lpns: Vec<Lpn> = pages.iter().map(|&p| self.data_lpn(p)).collect();
-        double_write_journal(
-            &mut self.ssd.borrow_mut(),
-            now,
-            &lpns,
-            Lpn(self.journal_base),
-        )
-        .expect("journal batch failed")
-        .done
-    }
-
-    fn free_page(&mut self, now: SimTime, page: PageId) {
-        self.stats.frees += 1;
-        if self.use_trim {
-            let lpn = self.data_lpn(page);
-            self.ssd
-                .borrow_mut()
-                .io(now, IoRequest::trim(lpn.0).class(IoClass::Background))
-                .expect("trim failed");
-        }
-    }
-
-    fn stats(&self) -> &BackendStats {
-        &self.stats
-    }
-
-    fn label(&self) -> &'static str {
-        "legacy-block"
-    }
-
-    fn attach_probe(&mut self, probe: requiem_sim::Probe) {
-        self.ssd.borrow_mut().attach_probe(probe);
-    }
-
-    fn relax_submit_order(&mut self) {
-        self.ssd.borrow_mut().relax_submit_order();
-    }
-
-    fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
-        pages
-            .iter()
-            .map(|&p| {
-                self.stats.page_reads += 1;
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
-                let lpn = self.data_lpn(p);
-                let req = IoRequest::read(lpn.0).tag(tag);
-                if self
-                    .qp
-                    .submit(&mut self.ssd.borrow_mut(), now, req)
-                    .is_err()
-                {
-                    self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    });
-                }
-                tag
-            })
-            .collect()
-    }
-
-    fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let data_base = self.data_base;
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        out.extend(self.qp.poll(now).into_iter().map(|c| PageRead {
-            tag: c.tag,
-            page: PageId(c.lba - data_base),
-            done: c.done,
-            status: c.status,
-        }));
-        out
-    }
-
-    fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn reads_in_flight(&mut self) -> usize {
-        self.rejects.len() + self.qp.pending()
-    }
-
-    fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.qp.pending() == 0 && self.rejects.is_empty(),
-            "window change with reads in flight"
-        );
-        self.qp = QueuePair::new(depth.max(1));
-    }
-}
-
-// ---------------------------------------------------------------------
 // Vision: PCM for synchronous persistence, extended flash for the rest
 // ---------------------------------------------------------------------
 
@@ -726,7 +501,9 @@ impl PersistenceBackend for VisionBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stack_backend::BlockStackBackend;
     use crate::wal::Lsn;
+    use requiem_block::StackConfig;
     use requiem_sim::time::SimDuration;
 
     fn small_cfg() -> SsdConfig {
@@ -738,8 +515,9 @@ mod tests {
         cfg
     }
 
-    fn legacy() -> LegacyBackend {
-        LegacyBackend::new(small_cfg(), 1024, 64)
+    /// The legacy design: the block-interface manager over a bare stack.
+    fn legacy() -> BlockStackBackend {
+        BlockStackBackend::new(StackConfig::bare(1), small_cfg(), 1024, 64)
     }
 
     fn vision() -> VisionBackend {
@@ -757,7 +535,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.shape.channels = 1;
         cfg.shape.chips_per_channel = 1;
-        let mut b = LegacyBackend::new(cfg, 600, 550);
+        let mut b = BlockStackBackend::new(StackConfig::bare(1), cfg, 600, 550);
         let mut w = b.make_wal();
         let mut t = SimTime::ZERO;
         for p in 0..600u64 {
@@ -867,7 +645,7 @@ mod tests {
     }
 
     #[test]
-    fn frees_trim_on_vision_only_by_default() {
+    fn frees_trim_on_vision_only() {
         let mut l = legacy();
         let mut v = vision();
         l.free_page(SimTime::ZERO, PageId(3));

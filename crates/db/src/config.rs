@@ -5,15 +5,16 @@
 //! and (since the WAL split) a [`WalConfig`] — and every binary
 //! duplicated the same glue. The builder bundles the knobs that must
 //! agree (group-commit policy, WAL medium, prefetch, concurrency) and
-//! hands back a loaded [`Database`] for the legacy, block-stack and
+//! hands back a loaded [`Database`] for the block-interface and
 //! cooperating-logs managers (or a [`ShardedDb`] over the block stack),
-//! plus the matching [`ExecConfig`] for the closed loop.
+//! plus the matching [`ExecConfig`] for the closed loop. The legacy
+//! design is the block-interface manager over
+//! [`StackConfig::bare`]: `build_stack(StackConfig::bare(1), ssd)`.
 
 use requiem_block::StackConfig;
 use requiem_iface::nameless::NamelessConfig;
 use requiem_ssd::SsdConfig;
 
-use crate::backend::LegacyBackend;
 use crate::coop::CoopLogBackend;
 use crate::engine::{Database, DbConfig};
 use crate::exec::ExecConfig;
@@ -161,16 +162,8 @@ impl DbBuilder {
         }
     }
 
-    /// A loaded database over the legacy backend (bare block SSD,
-    /// double-write journal).
-    pub fn build_legacy(&self, ssd: SsdConfig) -> Database<LegacyBackend> {
-        let be = LegacyBackend::new(ssd, self.data_pages, self.log_pages);
-        let mut db = Database::new(self.db_config(), be);
-        db.load();
-        db
-    }
-
-    /// A loaded database over the composed block-layer stack.
+    /// A loaded database over the block-interface manager: log, data
+    /// and double-write journal on one SSD behind `stack`.
     pub fn build_stack(&self, stack: StackConfig, ssd: SsdConfig) -> Database<BlockStackBackend> {
         let be = BlockStackBackend::new(stack, ssd, self.data_pages, self.log_pages);
         let mut db = Database::new(self.db_config(), be);
@@ -282,9 +275,12 @@ mod tests {
             .data_pages(64)
             .log_pages(16)
             .buffer_frames(16);
-        let mut flash = b.build_legacy(ssd.clone());
-        assert_eq!(flash.wal_backend().label(), "flash-wal");
-        let mut pcm = b.clone().wal(WalConfig::pcm()).build_legacy(ssd);
+        let mut flash = b.build_stack(StackConfig::bare(1), ssd.clone());
+        assert_eq!(flash.wal_backend().label(), "stack-wal");
+        let mut pcm = b
+            .clone()
+            .wal(WalConfig::pcm())
+            .build_stack(StackConfig::bare(1), ssd);
         assert_eq!(pcm.wal_backend().label(), "pcm-wal");
         // both are loaded and immediately executable
         flash.execute(&[(1, 0, true)], 128);

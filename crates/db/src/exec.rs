@@ -846,7 +846,7 @@ impl<B: PersistenceBackend> Database<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{LegacyBackend, VisionBackend};
+    use crate::backend::VisionBackend;
     use crate::engine::DbConfig;
     use crate::shard::ShardedDb;
     use crate::stack_backend::BlockStackBackend;
@@ -875,7 +875,7 @@ mod tests {
         ShardedDb::new(vec![db], pages)
     }
 
-    fn legacy_db(frames: usize) -> Database<LegacyBackend> {
+    fn legacy_db(frames: usize) -> Database<BlockStackBackend> {
         let cfg = DbConfig {
             data_pages: 256,
             buffer_frames: frames,
@@ -883,7 +883,7 @@ mod tests {
         };
         let mut ssd_cfg = SsdConfig::modern();
         ssd_cfg.buffer.capacity_pages = 0;
-        let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 64);
+        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 64);
         let mut db = Database::new(cfg, be);
         db.load();
         db

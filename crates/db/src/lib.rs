@@ -13,9 +13,12 @@
 //!   patterns);
 //! * [`wal`] — a redo write-ahead log with group commit (the other
 //!   synchronous pattern);
-//! * [`backend`] — the persistence boundary, with two implementations:
+//! * [`backend`] — the persistence boundary, with two designs:
 //!   - **Legacy**: everything (log and data, double-write journal) goes
-//!     through the block interface of one flash SSD;
+//!     through the block interface of one flash SSD — the
+//!     [`stack_backend`] manager over a zero-cost
+//!     [`StackConfig::bare`](requiem_block::StackConfig::bare) stack, or
+//!     over a costed one that also charges the OS I/O path;
 //!   - **Vision**: the paper's principle P1 — synchronous log forces and
 //!     buffer steals go to a PCM DIMM on the memory bus, asynchronous data
 //!     traffic goes to the flash SSD using atomic writes (no double-write
@@ -67,9 +70,7 @@ pub mod stack_backend;
 pub mod wal;
 pub mod walbackend;
 
-pub use backend::{
-    CommandTag, LegacyBackend, PageRead, PersistenceBackend, ReadShim, VisionBackend,
-};
+pub use backend::{CommandTag, PageRead, PersistenceBackend, ReadShim, VisionBackend};
 pub use config::DbBuilder;
 pub use coop::CoopLogBackend;
 pub use engine::{Database, DbConfig, TxnOutcome};

@@ -1,6 +1,8 @@
-//! The pluggable storage-manager layer: one trait over the block-backed
-//! heap manager and the cooperating-logs manager, in the vocabulary the
-//! engine's reporting needs.
+//! The pluggable storage-manager layer: one trait over the
+//! block-interface manager ([`BlockStackBackend`], the legacy design
+//! when its stack is [`StackConfig::bare`](requiem_block::StackConfig::bare))
+//! and the cooperating-logs manager, in the vocabulary the engine's
+//! reporting needs.
 //!
 //! [`PersistenceBackend`] is the *traffic* contract — forces, writes,
 //! reads, batches. [`StorageManager`] is the *identity* contract layered
@@ -25,9 +27,10 @@
 use requiem_iface::nameless::PhysName;
 use requiem_ssd::Lpn;
 
-use crate::backend::{LegacyBackend, PersistenceBackend};
+use crate::backend::PersistenceBackend;
 use crate::coop::CoopLogBackend;
 use crate::page::PageId;
+use crate::stack_backend::BlockStackBackend;
 
 /// A persistence backend that can say what it stores per page and what
 /// the device's collector did underneath it.
@@ -63,14 +66,14 @@ pub trait StorageManager: PersistenceBackend {
     fn device_write_amplification(&self) -> f64;
 }
 
-impl StorageManager for LegacyBackend {
+impl StorageManager for BlockStackBackend {
     type Handle = Lpn;
 
     fn handle_of(&self, page: PageId) -> Option<Self::Handle> {
         // the block manager's mapping is static arithmetic: the handle
         // exists whether or not the page was ever written, which is the
         // memory abstraction in one line
-        Some(Lpn(self.data_base() + page.0))
+        Some(self.data_lpn(page))
     }
 
     fn relocations_patched(&self) -> u64 {
@@ -133,6 +136,7 @@ impl StorageManager for CoopLogBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use requiem_block::StackConfig;
     use requiem_iface::nameless::NamelessConfig;
     use requiem_sim::time::SimTime;
     use requiem_ssd::SsdConfig;
@@ -152,7 +156,7 @@ mod tests {
 
     #[test]
     fn block_manager_handles_are_static_and_silent() {
-        let mut m = LegacyBackend::new(cfg(), 64, 16);
+        let mut m = BlockStackBackend::new(StackConfig::bare(1), cfg(), 64, 16);
         let (bound_before_write, _) = describe(&m, PageId(3));
         assert!(
             bound_before_write,

@@ -1,20 +1,25 @@
-//! A persistence backend routed through the composed block-layer
-//! [`IoStack`]: the storage manager's traffic pays the OS submission
-//! path, queue locks, doorbells, and IRQ/polling completion costs that
-//! [`LegacyBackend`](crate::backend::LegacyBackend) (which talks to the
-//! bare device) leaves out.
+//! The block-interface storage manager: the legacy design's one flash
+//! SSD carrying the log, the data and a double-write journal, reached
+//! through the composed block-layer [`IoStack`].
 //!
-//! This is the backend the completion-driven engine showcases: its
-//! batched read path is implemented directly over
+//! The [`StackConfig`] decides what the host costs. Over
+//! [`StackConfig::bare`] every stage is free and each command completes
+//! exactly when the device does — the paper's legacy design, which is
+//! charged only for the device. Over a costed preset
+//! ([`StackConfig::blk_mq`], [`StackConfig::legacy`], …) the same
+//! traffic also pays the OS submission path, queue locks, doorbells,
+//! and IRQ/polling completions.
+//!
+//! Batched reads are implemented directly over
 //! [`IoStack::submit_batch`] / [`IoStack::poll_completions`], so a DB
 //! queue depth of N turns into N commands resident in the device-side
-//! in-flight window — the paper's Figure-1 parallelism finally reaching
-//! transaction throughput. Layout and traffic classes are identical to
-//! the legacy backend (circular log + data + double-write journal on one
-//! flash SSD behind the block interface).
+//! in-flight window — the paper's Figure-1 parallelism reaching
+//! transaction throughput. Reads are the only traffic that uses the
+//! window: writes, checkpoint batches and log forces are serialized
+//! submits.
 
 use std::cell::{Ref, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use requiem_block::{IoStack, StackConfig};
@@ -26,12 +31,13 @@ use crate::backend::{BackendStats, CommandTag, PageRead, PersistenceBackend};
 use crate::page::PageId;
 use crate::walbackend::{FlashWal, StackLog, WalBackend};
 
-/// The block-stack backend: one flash SSD behind the full OS I/O stack.
+/// The block-interface backend: one flash SSD behind the I/O stack.
 pub struct BlockStackBackend {
     /// Shared with the WAL port ([`make_wal`](PersistenceBackend::make_wal)):
-    /// log forces pay the same block-layer path as the page traffic.
+    /// log forces land on the same device, through the same block-layer
+    /// path, as the page traffic.
     stack: Rc<RefCell<IoStack<Ssd>>>,
-    /// LBA layout (log, data, journal), as in the legacy backend.
+    /// LBA layout inside the stripe: circular log, data, journal.
     log_pages: u64,
     data_base: u64,
     journal_base: u64,
@@ -44,14 +50,9 @@ pub struct BlockStackBackend {
     /// traffic rides its own queue pair; contention happens below, on
     /// the shared channels.
     core: usize,
-    /// Use TRIM on frees (off by default, like the legacy stack).
-    pub use_trim: bool,
     /// Batched reads in flight: host tag → page.
     pending: BTreeMap<u64, PageId>,
-    /// Read completions reaped early (while draining a synchronous
-    /// journal batch), waiting for the next poll.
-    ready: Vec<PageRead>,
-    /// Tag namespace for everything that goes through `submit_batch`.
+    /// Tag namespace for batched reads.
     next_tag: u64,
     stats: BackendStats,
 }
@@ -66,7 +67,8 @@ impl std::fmt::Debug for BlockStackBackend {
 
 impl BlockStackBackend {
     /// Lay out `data_pages` of data, `log_pages` of circular log, and an
-    /// equal-size journal area on one device behind `stack_cfg`.
+    /// equal-size journal area on one device behind `stack_cfg` — a
+    /// single-shard [`BlockStackBackend::shards`].
     ///
     /// # Panics
     /// Panics if the device is too small for the layout.
@@ -76,27 +78,9 @@ impl BlockStackBackend {
         data_pages: u64,
         log_pages: u64,
     ) -> Self {
-        let ssd = Ssd::new(ssd_cfg);
-        let exported = ssd.capacity().exported_pages;
-        let needed = log_pages + 2 * data_pages;
-        assert!(
-            needed <= exported,
-            "device too small: need {needed} pages, exported {exported}"
-        );
-        BlockStackBackend {
-            stack: Rc::new(RefCell::new(IoStack::new(stack_cfg, ssd))),
-            log_pages,
-            data_base: log_pages,
-            journal_base: log_pages + data_pages,
-            data_pages,
-            lba_base: 0,
-            core: 0,
-            use_trim: false,
-            pending: BTreeMap::new(),
-            ready: Vec::new(),
-            next_tag: 0,
-            stats: BackendStats::default(),
-        }
+        Self::shards(stack_cfg, ssd_cfg, 1, data_pages, log_pages)
+            .pop()
+            .expect("one shard")
     }
 
     /// Build `shards` backends over ONE device and ONE block stack:
@@ -143,9 +127,7 @@ impl BlockStackBackend {
                 data_pages,
                 lba_base: i as u64 * stripe,
                 core: i,
-                use_trim: false,
                 pending: BTreeMap::new(),
-                ready: Vec::new(),
                 next_tag: (i as u64) << 48,
                 stats: BackendStats::default(),
             })
@@ -162,58 +144,29 @@ impl BlockStackBackend {
         Ref::map(self.stack.borrow(), |s| s.backend())
     }
 
-    fn data_lpn(&self, page: PageId) -> Lpn {
+    /// The LBA `page` lives at: static arithmetic, fixed for the page's
+    /// lifetime (the memory abstraction).
+    pub(crate) fn data_lpn(&self, page: PageId) -> Lpn {
         assert!(page.0 < self.data_pages, "page id beyond data region");
         Lpn(self.lba_base + self.data_base + page.0)
     }
 
-    fn fresh_tag(&mut self) -> CommandTag {
-        self.next_tag += 1;
-        CommandTag(self.next_tag)
-    }
-
-    /// Submit `reqs` as one batch and drain the completion queue until
-    /// every one of them has been reaped; returns the latest completion
-    /// instant. Read completions that happen to become ready while we
-    /// drain are buffered into `self.ready` for the next poll — the
-    /// batch must not swallow them.
-    fn run_batch_to_completion(&mut self, now: SimTime, reqs: &[IoRequest]) -> SimTime {
-        if reqs.is_empty() {
-            return now;
-        }
-        let batch: BTreeSet<u64> = reqs.iter().map(|r| r.tag.0).collect();
-        self.stack.borrow_mut().submit_batch(now, self.core, reqs);
-        let mut outstanding = batch;
-        let mut t = now;
-        while !outstanding.is_empty() {
-            let Some(next) = self.stack.borrow().next_completion_time(self.core) else {
-                // nothing left in flight but tags unaccounted — a batch
-                // member was dropped by the stack; stop honestly rather
-                // than spin (cannot happen with the current stack)
-                break;
-            };
-            for c in self.stack.borrow_mut().poll_completions(next, self.core) {
-                if outstanding.remove(&c.tag.0) {
-                    t = t.max(c.done);
-                } else if let Some(page) = self.pending.remove(&c.tag.0) {
-                    self.ready.push(PageRead {
-                        tag: c.tag,
-                        page,
-                        done: c.done,
-                        status: c.status,
-                    });
-                }
-            }
-        }
-        t
+    /// A serialized write the engine cannot survive losing: the
+    /// completion instant, or a panic with `what` when the device
+    /// refused it.
+    fn write(&mut self, now: SimTime, req: IoRequest, what: &str) -> SimTime {
+        let c = self.stack.borrow_mut().submit(now, self.core, req);
+        assert!(c.status != IoStatus::Rejected, "{what}");
+        c.done
     }
 }
 
 impl PersistenceBackend for BlockStackBackend {
     fn make_wal(&mut self) -> Box<dyn WalBackend> {
-        // identical layout policy to the legacy backend, but every log
-        // write pays the block-layer path like the page traffic around
-        // it — in this backend's own stripe, on its own core
+        // the log shares the device with the page traffic — the classic
+        // small-synchronous-write problem, and the FTL drags dead WAL
+        // through GC until truncation trims it — in this backend's own
+        // stripe, on its own core
         Box::new(FlashWal::new(
             StackLog::with_region(
                 Rc::clone(&self.stack),
@@ -228,30 +181,25 @@ impl PersistenceBackend for BlockStackBackend {
     fn page_write(&mut self, now: SimTime, page: PageId) -> SimTime {
         self.stats.page_writes += 1;
         self.stats.logical_writes += 1;
+        // write-back: nobody waits on this completion
         let lpn = self.data_lpn(page);
-        self.stack
-            .borrow_mut()
-            .submit(
-                now,
-                self.core,
-                IoRequest::write(lpn.0).class(IoClass::Background),
-            )
-            .done
+        let req = IoRequest::write(lpn.0).class(IoClass::Background);
+        self.write(now, req, "data write failed")
     }
 
     fn steal_write(&mut self, now: SimTime, page: PageId) -> SimTime {
         self.stats.steal_writes += 1;
         self.stats.logical_writes += 1;
         let lpn = self.data_lpn(page);
-        self.stack
-            .borrow_mut()
-            .submit(now, self.core, IoRequest::write(lpn.0))
-            .done
+        self.write(now, IoRequest::write(lpn.0), "steal write failed")
     }
 
     fn page_read(&mut self, now: SimTime, page: PageId) -> (SimTime, IoStatus) {
         self.stats.page_reads += 1;
         let lpn = self.data_lpn(page);
+        // a refused command (worn-out device, protocol violation) comes
+        // back as a typed Rejected status instead of tearing the engine
+        // down
         let c = self
             .stack
             .borrow_mut()
@@ -267,38 +215,28 @@ impl PersistenceBackend for BlockStackBackend {
         self.stats.page_writes += pages.len() as u64;
         self.stats.logical_writes += pages.len() as u64;
         // torn-write safety through the block interface = double-write
-        // journal, but both phases ride the queue-pair path: journal
-        // copies as one batch, barrier (drain), then in-place writes as a
-        // second batch
-        let journal: Vec<IoRequest> = pages
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let tag = self.fresh_tag();
-                IoRequest::write(self.lba_base + self.journal_base + i as u64).tag(tag)
-            })
-            .collect();
-        let t1 = self.run_batch_to_completion(now, &journal);
-        let in_place: Vec<IoRequest> = pages
-            .iter()
-            .map(|&p| {
-                let tag = self.fresh_tag();
-                IoRequest::write(self.data_lpn(p).0).tag(tag)
-            })
-            .collect();
-        self.run_batch_to_completion(t1, &in_place)
+        // journal: the journal copies go out together at `now`, a barrier
+        // waits for them and for the device to drain, then the in-place
+        // writes go out together
+        let journal = self.lba_base + self.journal_base;
+        let mut copied = now;
+        for i in 0..pages.len() as u64 {
+            let req = IoRequest::write(journal + i);
+            copied = copied.max(self.write(now, req, "journal batch failed"));
+        }
+        let barrier = copied.max(self.ssd().drain_time());
+        let mut done = barrier;
+        for &page in pages {
+            let req = IoRequest::write(self.data_lpn(page).0);
+            done = done.max(self.write(barrier, req, "journal batch failed"));
+        }
+        done
     }
 
-    fn free_page(&mut self, now: SimTime, page: PageId) {
+    fn free_page(&mut self, _now: SimTime, _page: PageId) {
+        // the block interface has no way to say a page died: the device
+        // keeps carrying it until the LBA is overwritten
         self.stats.frees += 1;
-        if self.use_trim {
-            let lpn = self.data_lpn(page);
-            self.stack.borrow_mut().submit(
-                now,
-                self.core,
-                IoRequest::trim(lpn.0).class(IoClass::Background),
-            );
-        }
     }
 
     fn stats(&self) -> &BackendStats {
@@ -322,54 +260,41 @@ impl PersistenceBackend for BlockStackBackend {
             .iter()
             .map(|&p| {
                 self.stats.page_reads += 1;
-                let tag = self.fresh_tag();
-                self.pending.insert(tag.0, p);
-                IoRequest::read(self.data_lpn(p).0).tag(tag)
+                self.next_tag += 1;
+                self.pending.insert(self.next_tag, p);
+                IoRequest::read(self.data_lpn(p).0).tag(CommandTag(self.next_tag))
             })
             .collect();
         self.stack.borrow_mut().submit_batch(now, self.core, &reqs)
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let mut out: Vec<PageRead> = Vec::new();
-        // early-reaped completions first (they finished before `now`)
-        self.ready.retain(|r| {
-            if r.done <= now {
-                out.push(*r);
-                false
-            } else {
-                true
-            }
-        });
-        out.sort_by_key(|r| (r.done, r.tag.0));
-        for c in self.stack.borrow_mut().poll_completions(now, self.core) {
-            if let Some(page) = self.pending.remove(&c.tag.0) {
-                out.push(PageRead {
+        let completions = self.stack.borrow_mut().poll_completions(now, self.core);
+        completions
+            .into_iter()
+            .filter_map(|c| {
+                let page = self.pending.remove(&c.tag.0)?;
+                Some(PageRead {
                     tag: c.tag,
                     page,
                     done: c.done,
                     status: c.status,
-                });
-            }
-        }
-        out
+                })
+            })
+            .collect()
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.ready.iter().map(|r| r.done).min();
-        match (r, self.stack.borrow().next_completion_time(self.core)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.stack.borrow().next_completion_time(self.core)
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.pending.len() + self.ready.len()
+        self.pending.len()
     }
 
     fn set_read_window(&mut self, depth: usize) {
         debug_assert!(
-            self.pending.is_empty() && self.ready.is_empty(),
+            self.pending.is_empty(),
             "window change with reads in flight"
         );
         self.stack

@@ -15,7 +15,7 @@
 //!
 //! * [`FlashWal`] — today's path. One generic force/truncate/scan engine
 //!   over a [`LogDevice`] *port* onto the page backend's own device
-//!   ([`BareSsdLog`], [`StackLog`], and the nameless port in
+//!   ([`StackLog`] for the block-interface manager, the nameless port in
 //!   [`coop`](crate::coop)). Sharing the device is load-bearing: the
 //!   stacked-log pathology E13/E14 measure — the FTL dragging dead WAL
 //!   segments through GC — only exists because log and data compete for
@@ -295,60 +295,10 @@ impl<D: LogDevice> WalBackend for FlashWal<D> {
     }
 }
 
-/// [`LogDevice`] port onto the bare flash SSD the
-/// [`LegacyBackend`](crate::backend::LegacyBackend) owns: log segments
-/// occupy LBAs `0..log_pages` of the shared device.
-pub struct BareSsdLog {
-    ssd: Rc<RefCell<Ssd>>,
-    log_pages: u64,
-}
-
-impl BareSsdLog {
-    /// Port onto `ssd`, folding segments onto LBAs `0..log_pages`.
-    pub fn new(ssd: Rc<RefCell<Ssd>>, log_pages: u64) -> Self {
-        BareSsdLog {
-            ssd,
-            log_pages: log_pages.max(1),
-        }
-    }
-}
-
-impl LogDevice for BareSsdLog {
-    fn write_seg(&mut self, now: SimTime, seg: u64) -> (SimTime, IoStatus) {
-        let lba = seg % self.log_pages;
-        // a refused command (worn-out device) surfaces as a typed status
-        // instead of tearing the engine down
-        match self.ssd.borrow_mut().io(now, IoRequest::write(lba)) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        }
-    }
-
-    fn read_seg(&mut self, now: SimTime, seg: u64) -> Option<(SimTime, IoStatus)> {
-        let lba = seg % self.log_pages;
-        Some(match self.ssd.borrow_mut().io(now, IoRequest::read(lba)) {
-            Ok(c) => (c.done, c.status),
-            Err(_) => (now, IoStatus::Rejected),
-        })
-    }
-
-    fn trim_seg(&mut self, now: SimTime, seg: u64) -> bool {
-        let lba = seg % self.log_pages;
-        self.ssd
-            .borrow_mut()
-            .io(now, IoRequest::trim(lba).class(IoClass::Background))
-            .is_ok()
-    }
-
-    fn label(&self) -> &'static str {
-        "flash-wal"
-    }
-}
-
-/// [`LogDevice`] port through the composed block-layer stack the
+/// [`LogDevice`] port through the block-layer stack the
 /// [`BlockStackBackend`](crate::stack_backend::BlockStackBackend) owns:
-/// every segment write pays the OS submission path like the data traffic
-/// around it.
+/// every segment write takes the same path, and pays the same host
+/// costs, as the data traffic around it.
 pub struct StackLog {
     stack: Rc<RefCell<IoStack<Ssd>>>,
     log_pages: u64,
@@ -359,14 +309,10 @@ pub struct StackLog {
 }
 
 impl StackLog {
-    /// Port onto `stack`, folding segments onto LBAs `0..log_pages`.
-    pub fn new(stack: Rc<RefCell<IoStack<Ssd>>>, log_pages: u64) -> Self {
-        Self::with_region(stack, log_pages, 0, 0)
-    }
-
     /// Port onto `stack`, folding segments onto LBAs
-    /// `base..base + log_pages` and submitting on `core` — one shard's
-    /// slice of a multi-queue deployment.
+    /// `base..base + log_pages` and submitting on `core` — a standalone
+    /// backend's whole log (base 0, core 0) or one shard's slice of a
+    /// multi-queue deployment.
     pub fn with_region(
         stack: Rc<RefCell<IoStack<Ssd>>>,
         log_pages: u64,
@@ -403,12 +349,12 @@ impl LogDevice for StackLog {
 
     fn trim_seg(&mut self, now: SimTime, seg: u64) -> bool {
         let lba = self.base + seg % self.log_pages;
-        self.stack.borrow_mut().submit(
+        let c = self.stack.borrow_mut().submit(
             now,
             self.core,
             IoRequest::trim(lba).class(IoClass::Background),
         );
-        true
+        c.status != IoStatus::Rejected
     }
 
     fn label(&self) -> &'static str {
@@ -597,14 +543,16 @@ impl WalBackend for PcmWal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use requiem_block::StackConfig;
     use requiem_sim::time::SimDuration;
     use requiem_ssd::SsdConfig;
 
-    fn bare_wal(log_pages: u64) -> FlashWal<BareSsdLog> {
+    fn bare_wal(log_pages: u64) -> FlashWal<StackLog> {
         let mut cfg = SsdConfig::modern();
         cfg.buffer.capacity_pages = 0;
-        let ssd = Rc::new(RefCell::new(Ssd::new(cfg)));
-        FlashWal::new(BareSsdLog::new(ssd, log_pages), log_pages)
+        let stack = IoStack::new(StackConfig::bare(1), Ssd::new(cfg));
+        let port = StackLog::with_region(Rc::new(RefCell::new(stack)), log_pages, 0, 0);
+        FlashWal::new(port, log_pages)
     }
 
     #[test]

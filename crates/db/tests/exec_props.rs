@@ -21,8 +21,7 @@ use proptest::prelude::*;
 use requiem_block::StackConfig;
 use requiem_db::{
     BlockStackBackend, CoopLogBackend, Database, DbConfig, ExecConfig, GroupCommitPolicy,
-    LegacyBackend, PcmWalConfig, PersistenceBackend, ShardedDb, ShardedReport, TxnInput,
-    VisionBackend, WalConfig,
+    PcmWalConfig, PersistenceBackend, ShardedDb, ShardedReport, TxnInput, VisionBackend, WalConfig,
 };
 use requiem_iface::nameless::NamelessConfig;
 use requiem_pcm::PcmTiming;
@@ -39,13 +38,16 @@ fn bare_ssd() -> SsdConfig {
     cfg
 }
 
-fn small_db(buffer_frames: usize) -> Database<LegacyBackend> {
+fn small_db(buffer_frames: usize) -> Database<BlockStackBackend> {
     let cfg = DbConfig {
         data_pages: DATA_PAGES,
         buffer_frames,
         ..DbConfig::default()
     };
-    let mut db = Database::new(cfg, LegacyBackend::new(bare_ssd(), DATA_PAGES, 64));
+    let mut db = Database::new(
+        cfg,
+        BlockStackBackend::new(StackConfig::bare(1), bare_ssd(), DATA_PAGES, 64),
+    );
     db.load();
     db
 }
@@ -286,6 +288,7 @@ fn assert_qd1_identity_everywhere(
     });
     let pages = shape.pages;
     for (medium, wal) in [("flash", WalConfig::Flash), ("pcm", pcm)] {
+        // the legacy design: the block-interface manager on a bare stack
         assert_qd1_identity(
             &format!("{shape_name}/legacy/{medium}"),
             shape,
@@ -294,15 +297,11 @@ fn assert_qd1_identity_everywhere(
                     shape,
                     &wal,
                     16,
-                    LegacyBackend::new(bare_ssd(), pages, LOG_PAGES),
+                    BlockStackBackend::new(StackConfig::bare(1), bare_ssd(), pages, LOG_PAGES),
                 )
             },
             inputs,
         )?;
-        // no checkpoints on the block stack: its checkpoint batch
-        // shares the core's in-flight window, which the executor
-        // narrows to its read population (1 at QD 1) while
-        // `execute()` keeps the default, so the two diverge there
         assert_qd1_identity(
             &format!("{shape_name}/stack/{medium}"),
             shape,
@@ -313,7 +312,7 @@ fn assert_qd1_identity_everywhere(
                     pages,
                     LOG_PAGES,
                 );
-                loaded(shape, &wal, 0, be)
+                loaded(shape, &wal, 16, be)
             },
             inputs,
         )?;
@@ -414,7 +413,10 @@ fn parked_forces_keep_immediate_commits_independent() {
             .group(GroupCommitPolicy::immediate())
             .concurrency(qd)
             .wal(wal);
-        let mut one = ShardedDb::new(vec![b.build_legacy(figure1_device())], PAGES);
+        let mut one = ShardedDb::new(
+            vec![b.build_stack(StackConfig::bare(1), figure1_device())],
+            PAGES,
+        );
         one.run(&inputs, &b.exec_config())
     };
     let flash = run(WalConfig::Flash, 8);

@@ -18,7 +18,8 @@
 //! `exec_props`.
 
 use proptest::prelude::*;
-use requiem_db::{Database, DbConfig, LegacyBackend, PcmWalConfig, TxnInput, WalConfig};
+use requiem_block::StackConfig;
+use requiem_db::{BlockStackBackend, Database, DbConfig, PcmWalConfig, TxnInput, WalConfig};
 use requiem_pcm::PcmTiming;
 use requiem_ssd::SsdConfig;
 
@@ -33,14 +34,14 @@ fn bare_ssd() -> SsdConfig {
 
 /// A small pool (steals) and frequent checkpoints (truncation) so the
 /// mixes exercise every WAL call site, not just the commit force.
-fn db(wal: WalConfig) -> Database<LegacyBackend> {
+fn db(wal: WalConfig) -> Database<BlockStackBackend> {
     DbConfig::builder()
         .data_pages(DATA_PAGES)
         .log_pages(64)
         .buffer_frames(24)
         .checkpoint_every(16)
         .wal(wal)
-        .build_legacy(bare_ssd())
+        .build_stack(StackConfig::bare(1), bare_ssd())
 }
 
 fn pcm(timing: PcmTiming) -> WalConfig {
@@ -72,7 +73,7 @@ fn arb_inputs() -> impl Strategy<Value = Vec<TxnInput>> {
 }
 
 /// Every (page, slot)'s visible owner — the post-recovery ground truth.
-fn owners(db: &mut Database<LegacyBackend>) -> Vec<u64> {
+fn owners(db: &mut Database<BlockStackBackend>) -> Vec<u64> {
     (0..DATA_PAGES)
         .flat_map(|p| (0..SLOTS).map(move |s| (p, s)))
         .map(|(p, s)| db.visible_owner(p, s))

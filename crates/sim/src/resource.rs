@@ -225,14 +225,6 @@ impl Resource {
         }
     }
 
-    /// Reserve time that must start *exactly* when the resource next frees,
-    /// at or after `not_before` (identical to [`reserve`](Self::reserve);
-    /// provided for call-site readability when chaining pipelined stages).
-    #[inline]
-    pub fn reserve_after(&mut self, not_before: SimTime, duration: SimDuration) -> Grant {
-        self.reserve(not_before, duration)
-    }
-
     /// Would-be grant if we reserved now — without committing. Used by
     /// schedulers comparing candidate resources (e.g. least-loaded LUN).
     pub fn peek(&self, not_before: SimTime, duration: SimDuration) -> Grant {

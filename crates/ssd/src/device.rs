@@ -367,11 +367,6 @@ impl Ssd {
         self.sched.probe()
     }
 
-    /// Replace the garbage-collection policy (custom experiments).
-    pub fn set_gc_policy(&mut self, policy: Box<dyn GcPolicy>) {
-        self.gc_policy = policy;
-    }
-
     /// Replace the wear-leveling policy (custom experiments).
     pub fn set_wear_policy(&mut self, policy: Box<dyn WearPolicy>) {
         self.wear_policy = policy;

@@ -8,8 +8,10 @@
 //! cargo run --release --example vision_db
 //! ```
 
-use requiem::db::backend::{LegacyBackend, PersistenceBackend, VisionBackend};
+use requiem::block::StackConfig;
+use requiem::db::backend::{PersistenceBackend, VisionBackend};
 use requiem::db::engine::{Database, DbConfig};
+use requiem::db::BlockStackBackend;
 use requiem::sim::table::Align;
 use requiem::sim::time::SimDuration;
 use requiem::sim::Table;
@@ -61,7 +63,7 @@ fn main() {
     // ---- legacy ----
     let mut ssd_cfg = SsdConfig::modern();
     ssd_cfg.buffer.capacity_pages = 0;
-    let be = LegacyBackend::new(ssd_cfg, cfg.data_pages, 256);
+    let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 256);
     let mut db = Database::new(cfg.clone(), be);
     db.load();
     let t0 = db.now();

@@ -120,14 +120,15 @@ struct Snapshot {
 fn snapshot<M: StorageManager>(db: &Database<M>) -> Snapshot {
     let b = db.backend();
     let w = db.wal_backend().stats();
+    let dev = b.device();
     Snapshot {
         // page images from the backend plus segment images from the WAL
         // port: the same logical-write total the fused interface counted
         logical: b.stats().logical_writes + w.logical_writes,
-        host_writes: b.device_host_writes(),
-        programs: b.device_programs(),
-        gc_runs: b.device_gc_runs(),
-        gc_moved: b.device_gc_moved(),
+        host_writes: dev.host_writes,
+        programs: dev.flash_programs,
+        gc_runs: dev.gc_runs,
+        gc_moved: dev.gc_pages_moved,
         relocations: b.relocations_patched(),
         log_trims: w.log_trims,
     }

@@ -11,12 +11,16 @@ use requiem_bench::{note, section};
 use requiem_block::StackConfig;
 use requiem_db::backend::{PersistenceBackend, VisionBackend};
 use requiem_db::engine::{Database, DbConfig};
-use requiem_db::BlockStackBackend;
+use requiem_db::{
+    BlockStackBackend, ExecConfig, GroupCommitPolicy, PrefetchConfig, ShardedDb, TxnInput,
+};
 use requiem_sim::table::Align;
-use requiem_sim::time::{SimDuration, SimTime};
+use requiem_sim::time::SimDuration;
 use requiem_sim::Table;
 use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
+
+const DATA_PAGES: u64 = 1024;
 
 struct RunResult {
     label: String,
@@ -27,40 +31,63 @@ struct RunResult {
     commit_p99: u64,
     steals: u64,
     read_stall: SimDuration,
+    steal_stall: SimDuration,
     commit_stall: SimDuration,
 }
 
-fn run<B: PersistenceBackend>(label: &str, mut db: Database<B>, txns: u64) -> RunResult {
+/// `txns` transactions from `OltpGen` at `seed`, each access landing on
+/// the record slot `slot(page)` picks.
+fn oltp_inputs(cfg: OltpConfig, seed: u64, txns: u64, slot: fn(u64) -> u16) -> Vec<TxnInput> {
+    let mut gen = OltpGen::new(cfg, seed);
+    (0..txns)
+        .map(|_| {
+            let txn = gen.next_txn();
+            TxnInput {
+                accesses: txn
+                    .accesses
+                    .iter()
+                    .map(|a| (a.page, slot(a.page), a.dirty))
+                    .collect(),
+                log_bytes: txn.log_bytes,
+            }
+        })
+        .collect()
+}
+
+/// The TPC-B-flavoured mix of the OLTP and group-commit rows.
+fn mix(txns: u64) -> Vec<TxnInput> {
     let oltp = OltpConfig {
         pages_per_txn: 4,
         read_only_fraction: 0.5,
         log_bytes_per_txn: 256,
-        data_pages: 1024,
+        data_pages: DATA_PAGES,
         theta: 0.8,
     };
-    let mut gen = OltpGen::new(oltp, 7);
-    db.load();
-    let t0 = db.now();
-    for _ in 0..txns {
-        let txn = gen.next_txn();
-        let accesses: Vec<(u64, u16, bool)> = txn
-            .accesses
-            .iter()
-            .map(|a| (a.page, (a.page % 16) as u16, a.dirty))
-            .collect();
-        db.execute(&accesses, txn.log_bytes);
-    }
-    let span = db.now().since(t0);
-    let s = db.stats().clone();
+    oltp_inputs(oltp, 7, txns, |page| (page % 16) as u16)
+}
+
+/// Load `db` as a one-shard executor and run `inputs` under `exec`.
+fn run<B: PersistenceBackend>(
+    label: &str,
+    db: Database<B>,
+    inputs: &[TxnInput],
+    exec: &ExecConfig,
+) -> RunResult {
+    let mut one = ShardedDb::new(vec![db], DATA_PAGES);
+    one.load();
+    let report = one.run(inputs, exec);
+    let db = one.shard(0);
+    let s = db.stats();
     RunResult {
         label: label.to_string(),
-        tps: txns as f64 / span.as_secs_f64().max(1e-12),
+        tps: report.tps,
         txn_p50: db.txn_latency().p50(),
         txn_p99: db.txn_latency().p99(),
         commit_p50: db.commit_latency().p50(),
         commit_p99: db.commit_latency().p99(),
         steals: db.backend().stats().steal_writes,
         read_stall: s.read_stall,
+        steal_stall: s.steal_stall,
         commit_stall: s.commit_stall,
     }
 }
@@ -81,6 +108,17 @@ impl RunResult {
             self.commit_stall.as_nanos()
         )
     }
+
+    /// This run as one memory-pressure JSON object.
+    fn pressure_json(&self) -> String {
+        format!(
+            "{{\"backend\":\"{}\",\"tps\":{:.1},\"steals\":{},\"steal_stall_ns\":{}}}",
+            self.label,
+            self.tps,
+            self.steals,
+            self.steal_stall.as_nanos()
+        )
+    }
 }
 
 fn main() {
@@ -88,49 +126,51 @@ fn main() {
     let txns = 2_000u64;
     let db_cfg = DbConfig {
         buffer_frames: 256,
-        data_pages: 1024,
+        data_pages: DATA_PAGES,
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 500,
-        group_commit: 1,
         ..DbConfig::default()
+    };
+    let serialized = ExecConfig::serialized();
+    // the device without a trusted write cache (the conservative legacy)
+    let uncached = || {
+        let mut cfg = SsdConfig::modern();
+        cfg.buffer.capacity_pages = 0;
+        cfg
+    };
+    let legacy = |cfg: &DbConfig, ssd: SsdConfig| {
+        let be = BlockStackBackend::new(StackConfig::bare(1), ssd, DATA_PAGES, 256);
+        Database::new(cfg.clone(), be)
+    };
+    let vision = |cfg: &DbConfig| {
+        let be = VisionBackend::new(uncached(), DATA_PAGES, 1 << 22);
+        Database::new(cfg.clone(), be)
     };
 
     section("OLTP (2 000 txns, zipf 0.8, 4 pages/txn, 50% dirty, checkpoint every 500)");
-    let mut results = Vec::new();
-
-    // legacy, conservative: no write cache trusted
-    let mut ssd_cfg = SsdConfig::modern();
-    ssd_cfg.buffer.capacity_pages = 0;
-    let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, db_cfg.data_pages, 256);
-    results.push(run(
-        "legacy (flash, no write cache)",
-        Database::new(db_cfg.clone(), be),
-        txns,
-    ));
-
-    // legacy with a battery-backed write cache (ablation)
-    let be = BlockStackBackend::new(
-        StackConfig::bare(1),
-        SsdConfig::modern(),
-        db_cfg.data_pages,
-        256,
-    );
-    results.push(run(
-        "legacy (flash + battery cache)",
-        Database::new(db_cfg.clone(), be),
-        txns,
-    ));
-
-    // vision: PCM log + extended flash
-    let mut flash_cfg = SsdConfig::modern();
-    flash_cfg.buffer.capacity_pages = 0;
-    let be = VisionBackend::new(flash_cfg, db_cfg.data_pages, 1 << 22);
-    results.push(run(
-        "vision (PCM log + atomic flash)",
-        Database::new(db_cfg.clone(), be),
-        txns,
-    ));
+    let inputs = mix(txns);
+    let results = vec![
+        run(
+            "legacy (flash, no write cache)",
+            legacy(&db_cfg, uncached()),
+            &inputs,
+            &serialized,
+        ),
+        // ablation: a battery-backed write cache
+        run(
+            "legacy (flash + battery cache)",
+            legacy(&db_cfg, SsdConfig::modern()),
+            &inputs,
+            &serialized,
+        ),
+        run(
+            "vision (PCM log + atomic flash)",
+            vision(&db_cfg),
+            &inputs,
+            &serialized,
+        ),
+    ];
 
     let mut tbl = Table::new([
         "backend",
@@ -173,115 +213,88 @@ fn main() {
         checkpoint_every: 0,
         ..db_cfg.clone()
     };
+    let inputs = oltp_inputs(OltpConfig::default(), 9, 1000, |_| 0);
+    let pressure = [
+        run(
+            "legacy (flash steals)",
+            legacy(&small, uncached()),
+            &inputs,
+            &serialized,
+        ),
+        run(
+            "vision (PCM staging steals)",
+            vision(&small),
+            &inputs,
+            &serialized,
+        ),
+    ];
     let mut tbl = Table::new(["backend", "txns/s", "steals", "steal stall"]).align(0, Align::Left);
-    let mut ssd_cfg = SsdConfig::modern();
-    ssd_cfg.buffer.capacity_pages = 0;
-    let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, small.data_pages, 256);
-    let mut db = Database::new(small.clone(), be);
-    db.load();
-    let mut gen = OltpGen::new(OltpConfig::default(), 9);
-    let t0 = db.now();
-    for _ in 0..1000 {
-        let txn = gen.next_txn();
-        let acc: Vec<(u64, u16, bool)> =
-            txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
-        db.execute(&acc, txn.log_bytes);
+    for r in &pressure {
+        tbl.row([
+            r.label.clone(),
+            format!("{:.0}", r.tps),
+            format!("{}", r.steals),
+            format!("{}", r.steal_stall),
+        ]);
     }
-    let mut pressure = Vec::new();
-    pressure.push(pressure_row("legacy (flash steals)", &db, t0, &mut tbl));
-    let mut flash_cfg = SsdConfig::modern();
-    flash_cfg.buffer.capacity_pages = 0;
-    let be = VisionBackend::new(flash_cfg, small.data_pages, 1 << 22);
-    let mut db = Database::new(small, be);
-    db.load();
-    let mut gen = OltpGen::new(OltpConfig::default(), 9);
-    let t0 = db.now();
-    for _ in 0..1000 {
-        let txn = gen.next_txn();
-        let acc: Vec<(u64, u16, bool)> =
-            txn.accesses.iter().map(|a| (a.page, 0, a.dirty)).collect();
-        db.execute(&acc, txn.log_bytes);
-    }
-    pressure.push(pressure_row(
-        "vision (PCM staging steals)",
-        &db,
-        t0,
-        &mut tbl,
-    ));
     println!("{tbl}");
     note("Buffer steals are the second synchronous pattern P1 names; staging them in PCM removes the flash program from the blocking path.");
 
     section("Group-commit ablation: how far can software alone close the gap?");
-    note("Group commit amortizes the flash log force over N transactions — the classic software mitigation. It trades durability lag (a crash loses up to N-1 commits) and still cannot reach the PCM path.");
-    let mut tbl = Table::new(["configuration", "txns/s", "commit p99"]).align(0, Align::Left);
+    note("Group commit amortizes the flash log force over N transactions kept in flight together — the classic software mitigation. A commit is acknowledged only when its shared force lands, so a crash loses no acknowledged commit; the price is commit latency (each commit waits for its group), and it still cannot reach the PCM path.");
+    let inputs = mix(1000);
     let mut grouped = Vec::new();
     for group in [1u32, 8, 64] {
-        let cfg2 = DbConfig {
-            group_commit: group,
-            ..db_cfg.clone()
+        let exec = if group == 1 {
+            serialized.clone()
+        } else {
+            ExecConfig {
+                concurrency: group as usize,
+                prefetch: PrefetchConfig::off(),
+                group: GroupCommitPolicy::batched(group),
+            }
         };
-        let mut ssd_cfg = SsdConfig::modern();
-        ssd_cfg.buffer.capacity_pages = 0;
-        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg2.data_pages, 256);
-        let r = run(
+        grouped.push(run(
             &format!("legacy, group commit = {group}"),
-            Database::new(cfg2, be),
-            1000,
-        );
-        tbl.row([
-            r.label.clone(),
-            format!("{:.0}", r.tps),
-            format!("{}", SimDuration::from_nanos(r.commit_p99)),
-        ]);
-        grouped.push(r.json());
+            legacy(&db_cfg, uncached()),
+            &inputs,
+            &exec,
+        ));
     }
-    {
-        let mut flash_cfg = SsdConfig::modern();
-        flash_cfg.buffer.capacity_pages = 0;
-        let be = VisionBackend::new(flash_cfg, db_cfg.data_pages, 1 << 22);
-        let r = run(
-            "vision, no grouping needed",
-            Database::new(db_cfg.clone(), be),
-            1000,
+    let vision_row = run(
+        "vision, no grouping needed",
+        vision(&db_cfg),
+        &inputs,
+        &serialized,
+    );
+    for r in &grouped {
+        assert!(
+            vision_row.tps > r.tps,
+            "the PCM path at QD 1 must out-run {}: {:.1} vs {:.1} txns/s",
+            r.label,
+            vision_row.tps,
+            r.tps
         );
+    }
+    grouped.push(vision_row);
+    let mut tbl = Table::new(["configuration", "txns/s", "commit p99"]).align(0, Align::Left);
+    for r in &grouped {
         tbl.row([
             r.label.clone(),
             format!("{:.0}", r.tps),
             format!("{}", SimDuration::from_nanos(r.commit_p99)),
         ]);
-        grouped.push(r.json());
     }
     println!("{tbl}");
-    note("Expected shape: grouping buys throughput but keeps multi-hundred-µs commit tails and weakens durability; the PCM path gives both low latency and per-commit durability.");
+    note("Expected shape: group commit = N keeps N transactions in flight and forces once per group, so it buys throughput by stretching every commit's wait to the group's force (milliseconds at N = 64); the PCM path gives both low latency and per-commit durability at one transaction in flight.");
 
     section("Summary (JSON)");
     let oltp: Vec<String> = results.iter().map(RunResult::json).collect();
+    let pressure: Vec<String> = pressure.iter().map(RunResult::pressure_json).collect();
+    let grouped: Vec<String> = grouped.iter().map(RunResult::json).collect();
     println!("```json");
     println!("{{\"txns\":{txns},\"oltp\":[{}],", oltp.join(","));
     println!("\"pressure\":[{}],", pressure.join(","));
     println!("\"group_commit\":[{}]}}", grouped.join(","));
     println!("```");
-}
-
-/// One memory-pressure row: the table cells, and the same numbers as a
-/// JSON object for the summary block.
-fn pressure_row<B: PersistenceBackend>(
-    label: &str,
-    db: &Database<B>,
-    t0: SimTime,
-    tbl: &mut Table,
-) -> String {
-    let tps = 1000.0 / db.now().since(t0).as_secs_f64().max(1e-12);
-    let steals = db.backend().stats().steal_writes;
-    let stall = db.stats().steal_stall;
-    tbl.row([
-        label.to_string(),
-        format!("{tps:.0}"),
-        format!("{steals}"),
-        format!("{stall}"),
-    ]);
-    format!(
-        "{{\"backend\":\"{label}\",\"tps\":{tps:.1},\"steals\":{steals},\"steal_stall_ns\":{}}}",
-        stall.as_nanos()
-    )
 }

@@ -3,12 +3,14 @@
 //! Experiment binaries used to assemble a database from four loose
 //! pieces — a [`DbConfig`], a backend constructor, an [`ExecConfig`],
 //! and (since the WAL split) a [`WalConfig`] — and every binary
-//! duplicated the same glue. The builder bundles the knobs that must
-//! agree (group-commit policy, WAL medium, prefetch, concurrency) and
-//! hands back a loaded [`Database`] for the block-interface and
-//! cooperating-logs managers (or a [`ShardedDb`] over the block stack),
-//! plus the matching [`ExecConfig`] for the closed loop. The legacy
-//! design is the block-interface manager over
+//! duplicated the same glue. The builder holds both halves: the engine
+//! knobs ([`DbBuilder::db_config`]: pages, pool, checkpoints, WAL medium)
+//! and the closed loop's ([`DbBuilder::exec_config`]: concurrency,
+//! group-commit policy, prefetch). It hands back a loaded [`Database`]
+//! for the block-interface and cooperating-logs managers (or a
+//! [`ShardedDb`] over the block stack). Group commit exists only in the
+//! closed loop; the serialized [`Database::execute`] forces every
+//! commit. The legacy design is the block-interface manager over
 //! [`StackConfig::bare`]: `build_stack(StackConfig::bare(1), ssd)`.
 
 use requiem_block::StackConfig;
@@ -85,8 +87,7 @@ impl DbBuilder {
         self
     }
 
-    /// Group-commit policy for the closed loop ([`ExecConfig::group`]);
-    /// the serialized path forces every `max_txns` commits to match.
+    /// Group-commit policy for the closed loop ([`ExecConfig::group`]).
     pub fn group(mut self, group: GroupCommitPolicy) -> Self {
         self.group = group;
         self
@@ -156,7 +157,6 @@ impl DbBuilder {
             data_pages: self.data_pages,
             buffer_frames: self.buffer_frames,
             checkpoint_every: self.checkpoint_every,
-            group_commit: self.group.max_txns.max(1),
             wal: self.wal.clone(),
             ..DbConfig::default()
         }
@@ -235,7 +235,6 @@ mod tests {
         assert_eq!(exec.concurrency, 8);
         assert_eq!(exec.group.max_txns, 8);
         let cfg = b.db_config();
-        assert_eq!(cfg.group_commit, 8, "serialized path follows the policy");
         assert!(matches!(cfg.wal, WalConfig::Pcm(_)));
     }
 

@@ -36,11 +36,6 @@ pub struct DbConfig {
     pub record_size: usize,
     /// Checkpoint every N transactions (0 = never).
     pub checkpoint_every: u64,
-    /// Group commit: force the log once every N commits (1 = force every
-    /// commit). Commits between forces complete immediately but are NOT
-    /// durable until the group force — a crash loses them (recovery
-    /// honestly reflects this).
-    pub group_commit: u32,
     /// Which medium carries the WAL: [`WalConfig::Flash`] asks the page
     /// backend for a port onto its own device
     /// ([`PersistenceBackend::make_wal`] — flash for the block backends,
@@ -59,7 +54,6 @@ impl Default for DbConfig {
             slots_per_page: 16,
             record_size: 100,
             checkpoint_every: 0,
-            group_commit: 1,
             wal: WalConfig::Flash,
         }
     }
@@ -135,9 +129,6 @@ pub struct Database<B: PersistenceBackend> {
     pub(crate) stats: EngineStats,
     pub(crate) next_txn: u64,
     pub(crate) loaded: bool,
-    /// Commits since the last group force. The bytes themselves are
-    /// enlisted in the [`WalBackend`]'s pending ledger as they happen.
-    unforced_commits: u32,
     /// Engine-level probe: commit spans (group wait vs shared force) are
     /// emitted here; a clone is forwarded to the backend's devices.
     pub(crate) probe: requiem_sim::Probe,
@@ -176,7 +167,6 @@ impl<B: PersistenceBackend> Database<B> {
             backend,
             wal_dev,
             loaded: false,
-            unforced_commits: 0,
             probe: requiem_sim::Probe::disabled(),
         }
     }
@@ -358,7 +348,9 @@ impl<B: PersistenceBackend> Database<B> {
     }
 
     /// Execute one transaction: each access reads (and possibly dirties)
-    /// one record; commit forces the log.
+    /// one record; commit forces the log. This is the serialized
+    /// reference the closed-loop executor must match at QD 1; group
+    /// commit lives only in the executor ([`crate::exec`]).
     ///
     /// `accesses` is a list of `(page, slot, dirty)`.
     pub fn execute(&mut self, accesses: &[(u64, u16, bool)], log_bytes: u32) -> TxnOutcome {
@@ -394,20 +386,16 @@ impl<B: PersistenceBackend> Database<B> {
                 self.pool.get_mut(pid, false);
             }
         }
-        // commit: append the record; force the log per the group-commit
-        // policy (every Nth commit carries the whole group's bytes)
+        // commit: append the record and force the log — the commit is
+        // durable before it is acknowledged
         let commit_started = self.now;
         let commit_lsn = self.wal.append(LogRecord::Commit { txn });
         let force_bytes = if wrote { log_bytes.max(32) } else { 32 };
-        self.unforced_commits += 1;
         self.wal_dev.append(commit_lsn, force_bytes);
-        if self.unforced_commits >= self.cfg.group_commit.max(1) {
-            let f = self.wal_dev.force(self.now, commit_lsn);
-            self.note_force(f.status);
-            self.wal.mark_flushed(commit_lsn);
-            self.now = self.now.max(f.done);
-            self.unforced_commits = 0;
-        }
+        let f = self.wal_dev.force(self.now, commit_lsn);
+        self.note_force(f.status);
+        self.wal.mark_flushed(commit_lsn);
+        self.now = self.now.max(f.done);
         let commit_force = self.now.since(commit_started);
         self.stats.commit_stall += commit_force;
         self.stats.commits += 1;
@@ -439,15 +427,12 @@ impl<B: PersistenceBackend> Database<B> {
             }
         }
         let lsn = self.wal.append(LogRecord::Checkpoint);
-        // the force drains every still-pending commit record along with
-        // the checkpoint record itself — a checkpoint flushes the group
         self.wal_dev
             .append(lsn, LogRecord::Checkpoint.encoded_len());
         let f = self.wal_dev.force(self.now, lsn);
         self.note_force(f.status);
         self.wal.mark_flushed(lsn);
         self.now = self.now.max(f.done);
-        self.unforced_commits = 0;
         self.stats.checkpoints += 1;
         // every log byte before the checkpoint record is now outside the
         // redo horizon: release those segments eagerly so the device's
@@ -509,16 +494,9 @@ impl<B: PersistenceBackend> Database<B> {
     /// here. Prepared-but-undecided transactions stay invisible either
     /// way.
     pub fn recover_with(&mut self, committed: Option<&BTreeSet<u64>>) -> u64 {
-        let committed: BTreeSet<u64> = match committed {
+        let committed = match committed {
             Some(set) => set.clone(),
-            None => self
-                .wal
-                .durable_records()
-                .filter_map(|(_, r)| match r {
-                    LogRecord::Commit { txn } => Some(*txn),
-                    _ => None,
-                })
-                .collect(),
+            None => self.durable_commits(),
         };
         let start = self.wal.last_durable_checkpoint();
         // charge the physical log scan: bytes before the checkpoint are
@@ -565,21 +543,21 @@ impl<B: PersistenceBackend> Database<B> {
                         replayed += 1;
                     }
                 }
-                LogRecord::Delete { txn, page, slot } if committed.contains(&txn) => {
-                    let img = self
-                        .durable
-                        .entry(page)
-                        .or_insert_with(|| zeros_page.clone());
-                    if img.lsn() < lsn.0 {
-                        img.delete(slot);
-                        img.set_lsn(lsn.0);
-                        replayed += 1;
-                    }
-                }
                 _ => {}
             }
         }
         replayed
+    }
+
+    /// Transactions with a durable `Commit` record in this engine's log.
+    pub(crate) fn durable_commits(&self) -> BTreeSet<u64> {
+        self.wal
+            .durable_records()
+            .filter_map(|(_, r)| match r {
+                LogRecord::Commit { txn } => Some(*txn),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Media-failure redo for one page: reconstruct its image from the
@@ -611,14 +589,7 @@ impl<B: PersistenceBackend> Database<B> {
         // authoritative for the bytes (see `recover`): the rebuild
         // proceeds either way
         self.note_media(status);
-        let committed: BTreeSet<u64> = self
-            .wal
-            .durable_records()
-            .filter_map(|(_, r)| match r {
-                LogRecord::Commit { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
+        let committed = self.durable_commits();
         let mut img = self.fresh_formatted_page();
         for (lsn, rec) in self.wal.durable_records() {
             match rec {
@@ -629,12 +600,6 @@ impl<B: PersistenceBackend> Database<B> {
                     after,
                 } if *page == pid && committed.contains(txn) => {
                     img.update(*slot, after);
-                    img.set_lsn(lsn.0);
-                }
-                LogRecord::Delete { txn, page, slot }
-                    if *page == pid && committed.contains(txn) =>
-                {
-                    img.delete(*slot);
                     img.set_lsn(lsn.0);
                 }
                 _ => {}
@@ -926,82 +891,5 @@ mod tests {
             tv < tl,
             "vision should finish sooner: vision {tv} legacy {tl}"
         );
-    }
-}
-
-#[cfg(test)]
-mod group_commit_tests {
-    use super::*;
-    use crate::stack_backend::BlockStackBackend;
-    use requiem_block::StackConfig;
-    use requiem_ssd::SsdConfig;
-
-    fn db_with_group(group: u32) -> Database<BlockStackBackend> {
-        let cfg = DbConfig {
-            data_pages: 256,
-            buffer_frames: 64,
-            group_commit: group,
-            ..DbConfig::default()
-        };
-        let mut ssd_cfg = SsdConfig::modern();
-        ssd_cfg.buffer.capacity_pages = 0;
-        let be = BlockStackBackend::new(StackConfig::bare(1), ssd_cfg, cfg.data_pages, 64);
-        let mut db = Database::new(cfg, be);
-        db.load();
-        db
-    }
-
-    #[test]
-    fn group_commit_amortizes_forces() {
-        let mut single = db_with_group(1);
-        let mut grouped = db_with_group(8);
-        for i in 0..64u64 {
-            single.execute(&[(i % 32, 0, true)], 128);
-            grouped.execute(&[(i % 32, 0, true)], 128);
-        }
-        let f1 = single.wal_backend().stats().log_forces;
-        let f8 = grouped.wal_backend().stats().log_forces;
-        assert!(f8 * 4 < f1, "grouped {f8} vs single {f1} forces");
-        assert!(grouped.now() < single.now(), "grouping should be faster");
-    }
-
-    #[test]
-    fn crash_between_group_forces_loses_only_unforced_txns() {
-        let mut db = db_with_group(8);
-        // 8 txns: the 8th triggers the group force — all durable
-        for i in 0..8u64 {
-            db.execute(&[(i, 0, true)], 128);
-        }
-        // 3 more: unforced
-        for i in 8..11u64 {
-            db.execute(&[(i, 0, true)], 128);
-        }
-        db.crash();
-        db.recover();
-        for i in 0..8u64 {
-            assert_eq!(db.visible_owner(i, 0), i + 1, "forced txn {} lost", i + 1);
-        }
-        for i in 8..11u64 {
-            assert_eq!(
-                db.visible_owner(i, 0),
-                0,
-                "unforced txn {} must NOT survive (group commit traded it)",
-                i + 1
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_flushes_pending_group() {
-        let mut db = db_with_group(100); // never forces on its own
-        for i in 0..5u64 {
-            db.execute(&[(i, 0, true)], 128);
-        }
-        db.checkpoint(); // must flush the pending group
-        db.crash();
-        db.recover();
-        for i in 0..5u64 {
-            assert_eq!(db.visible_owner(i, 0), i + 1);
-        }
     }
 }

@@ -6,8 +6,6 @@
 //! test that vision:
 //!
 //! * [`page`] — slotted pages with LSNs (the unit of buffering and I/O);
-//! * [`heap`] — heap files of records with free-space tracking;
-//! * [`btree`] — a page-based B+tree index (`u64 → Rid`);
 //! * [`buffer`] — a clock buffer pool with a steal policy (dirty eviction
 //!   forces a synchronous write — one of the paper's two synchronous
 //!   patterns);
@@ -23,8 +21,13 @@
 //!     buffer steals go to a PCM DIMM on the memory bus, asynchronous data
 //!     traffic goes to the flash SSD using atomic writes (no double-write
 //!     journal) and trim on free.
-//! * [`engine`] — transaction execution over all of the above, with
-//!   crash/recovery (redo replay) support and group commit;
+//! * [`engine`] — transaction state over all of the above, with
+//!   crash/recovery (redo replay) support; [`Database::execute`] is the
+//!   serialized reference that forces the log on every commit;
+//! * [`exec`] — the completion-driven executor: a closed loop of
+//!   in-flight transactions, shared group-commit forces (a commit is
+//!   acknowledged only when its force lands) and sequential readahead
+//!   ([`prefetch`]);
 //! * [`manager`] — the pluggable [`StorageManager`] layer: the trait is
 //!   generic over the device's handle type, so the block-backed heap
 //!   manager (handles are LBAs, relocations structurally silent) and the
@@ -52,13 +55,11 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod btree;
 pub mod buffer;
 pub mod config;
 pub mod coop;
 pub mod engine;
 pub mod exec;
-pub mod heap;
 pub mod kvstore;
 pub mod ledger;
 pub mod manager;
@@ -78,9 +79,9 @@ pub use exec::{ExecConfig, ExecReport, TxnInput};
 pub use kvstore::NamelessKv;
 pub use ledger::{LedgerStats, TwoPhaseLedger, TxnDecision};
 pub use manager::StorageManager;
-pub use page::{PageId, Rid, SlottedPage, PAGE_SIZE};
+pub use page::{PageId, SlottedPage, PAGE_SIZE};
 pub use pagetable::PageTable;
-pub use prefetch::{PrefetchConfig, PrefetchMode, PrefetchStats};
+pub use prefetch::{PrefetchConfig, PrefetchStats};
 pub use shard::{ShardedDb, ShardedReport};
 pub use stack_backend::BlockStackBackend;
 pub use wal::GroupCommitPolicy;

@@ -25,6 +25,7 @@
 //! amplification and the collector's copy traffic.
 
 use requiem_iface::nameless::PhysName;
+use requiem_iface::{DeviceInterface, DeviceMetrics};
 use requiem_ssd::Lpn;
 
 use crate::backend::PersistenceBackend;
@@ -47,23 +48,11 @@ pub trait StorageManager: PersistenceBackend {
     /// for block managers: the interface cannot express one.
     fn relocations_patched(&self) -> u64;
 
-    /// Flash page programs the device performed for this manager's
-    /// traffic (host writes *and* every hidden copy).
-    fn device_programs(&self) -> u64;
-
-    /// Write commands the device accepted from this manager.
-    fn device_host_writes(&self) -> u64;
-
-    /// Garbage-collection invocations inside the device.
-    fn device_gc_runs(&self) -> u64;
-
-    /// Pages the device's garbage collector relocated — the double-GC
-    /// tax when a log-structured manager runs on a log-structured FTL.
-    fn device_gc_moved(&self) -> u64;
-
-    /// Device-level write amplification (physical programs per host
-    /// write command).
-    fn device_write_amplification(&self) -> f64;
+    /// The device's own counters for this manager's traffic: host
+    /// writes, flash programs (host writes *and* every hidden copy), GC
+    /// runs and pages moved — the double-GC tax when a log-structured
+    /// manager runs on a log-structured FTL.
+    fn device(&self) -> DeviceMetrics;
 }
 
 impl StorageManager for BlockStackBackend {
@@ -80,24 +69,8 @@ impl StorageManager for BlockStackBackend {
         0
     }
 
-    fn device_programs(&self) -> u64 {
-        self.ssd().metrics().flash_programs.total()
-    }
-
-    fn device_host_writes(&self) -> u64 {
-        self.ssd().metrics().host_writes
-    }
-
-    fn device_gc_runs(&self) -> u64 {
-        self.ssd().metrics().gc_runs
-    }
-
-    fn device_gc_moved(&self) -> u64 {
-        self.ssd().metrics().gc_pages_moved
-    }
-
-    fn device_write_amplification(&self) -> f64 {
-        self.ssd().metrics().write_amplification()
+    fn device(&self) -> DeviceMetrics {
+        self.ssd().device_metrics()
     }
 }
 
@@ -112,24 +85,8 @@ impl StorageManager for CoopLogBackend {
         CoopLogBackend::relocations_patched(self)
     }
 
-    fn device_programs(&self) -> u64 {
-        self.dev().metrics().flash_programs.total()
-    }
-
-    fn device_host_writes(&self) -> u64 {
-        self.dev().metrics().host_writes
-    }
-
-    fn device_gc_runs(&self) -> u64 {
-        self.dev().metrics().gc_runs
-    }
-
-    fn device_gc_moved(&self) -> u64 {
-        self.dev().metrics().gc_pages_moved
-    }
-
-    fn device_write_amplification(&self) -> f64 {
-        self.dev().metrics().write_amplification()
+    fn device(&self) -> DeviceMetrics {
+        self.dev().device_metrics()
     }
 }
 
@@ -183,6 +140,6 @@ mod tests {
         assert!(t > SimTime::ZERO);
         let (bound_after_write, _) = describe(&m, PageId(3));
         assert!(bound_after_write);
-        assert!(m.device_programs() >= 1);
+        assert!(m.device().flash_programs >= 1);
     }
 }

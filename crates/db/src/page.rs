@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Deleted slots keep their directory entry with `len = 0` (tombstone) so
-//! record ids ([`Rid`]) stay stable.
+//! slot numbers stay stable.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,15 +25,6 @@ const SLOT_BYTES: usize = 4;
 /// Identifier of a page within the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PageId(pub u64);
-
-/// A record id: page + slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Rid {
-    /// The page.
-    pub page: PageId,
-    /// The slot within the page.
-    pub slot: u16,
-}
 
 /// An in-memory slotted page.
 #[derive(Clone, PartialEq, Eq)]

@@ -503,12 +503,7 @@ impl<B: PersistenceBackend> ShardedDb<B> {
         let committed: BTreeSet<u64> = self
             .shards
             .iter()
-            .flat_map(|db| {
-                db.wal().durable_records().filter_map(|(_, r)| match r {
-                    LogRecord::Commit { txn } => Some(*txn),
-                    _ => None,
-                })
-            })
+            .flat_map(Database::durable_commits)
             .collect();
         let mut replayed = 0;
         for db in &mut self.shards {
@@ -524,7 +519,9 @@ mod tests {
     use super::*;
     use crate::engine::DbConfig;
     use crate::ledger::TxnDecision;
+    use crate::prefetch::PrefetchConfig;
     use crate::stack_backend::BlockStackBackend;
+    use crate::wal::GroupCommitPolicy;
     use requiem_block::StackConfig;
     use requiem_ssd::SsdConfig;
 
@@ -622,6 +619,40 @@ mod tests {
         // replay there even though shard 1 only holds a Prepare record
         assert_eq!(db.shard_mut(1).visible_owner(0, 3), 1);
         assert_eq!(db.shard_mut(0).visible_owner(0, 3), 1);
+    }
+
+    #[test]
+    fn acknowledged_group_commits_survive_a_crash() {
+        // (shards, concurrency, batched group size)
+        for (n, depth, g) in [(1usize, 8usize, 8u32), (1, 16, 4), (2, 8, 8), (4, 8, 3)] {
+            let mut db = sharded(n);
+            let cfg = ExecConfig {
+                concurrency: depth,
+                prefetch: PrefetchConfig::off(),
+                group: GroupCommitPolicy::batched(g),
+            };
+            let report = db.run(&mixed_inputs(60, 64, 5), &cfg);
+            db.crash();
+            db.recover();
+            let mut acknowledged = 0;
+            for s in 0..n {
+                for &(txn, lsn) in &report.per_shard[s].commit_order {
+                    let durable = db.shard(s).wal().durable_records().any(|(l, r)| {
+                        *l == lsn && matches!(r, LogRecord::Commit { txn: t } if *t == txn)
+                    });
+                    assert!(
+                        durable,
+                        "({n}, {depth}, {g}): acknowledged txn {txn} has no durable Commit"
+                    );
+                    acknowledged += 1;
+                }
+            }
+            assert_eq!(acknowledged, report.committed, "({n}, {depth}, {g})");
+            assert_eq!(
+                report.committed, 60,
+                "({n}, {depth}, {g}): every txn commits"
+            );
+        }
     }
 
     #[test]

@@ -30,15 +30,6 @@ pub enum LogRecord {
         /// After-image of the record.
         after: Vec<u8>,
     },
-    /// A record was deleted.
-    Delete {
-        /// The transaction.
-        txn: u64,
-        /// Target page.
-        page: PageId,
-        /// Target slot.
-        slot: u16,
-    },
     /// Transaction commit.
     Commit {
         /// The transaction.
@@ -69,7 +60,6 @@ impl LogRecord {
     pub fn encoded_len(&self) -> u32 {
         let payload = match self {
             LogRecord::Update { after, .. } => 8 + 8 + 2 + 4 + after.len(),
-            LogRecord::Delete { .. } => 8 + 8 + 2,
             LogRecord::Commit { .. } => 8,
             LogRecord::Prepare { .. } => 8,
             LogRecord::Abort { .. } => 8,

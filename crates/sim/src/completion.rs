@@ -165,11 +165,6 @@ impl InflightWindow {
         self.inflight.len()
     }
 
-    /// Earliest completion instant among in-flight commands.
-    pub fn earliest_done(&self) -> Option<SimTime> {
-        self.inflight.peek().map(|Reverse(t)| *t)
-    }
-
     /// Compute the admission instant for a command targeting `lba`
     /// that arrives at the submission queue at `now`.
     ///

@@ -343,18 +343,6 @@ impl ResourceBank {
             .fold(SimTime::ZERO, SimTime::max)
     }
 
-    /// Mean utilization across members at `horizon`.
-    pub fn mean_utilization(&self, horizon: SimTime) -> f64 {
-        if self.members.is_empty() {
-            return 0.0;
-        }
-        self.members
-            .iter()
-            .map(|r| r.utilization(horizon))
-            .sum::<f64>()
-            / self.members.len() as f64
-    }
-
     /// Reset all members.
     pub fn reset(&mut self) {
         for r in &mut self.members {

@@ -131,18 +131,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Length in (possibly fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// Length in (possibly fractional) milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Length in (possibly fractional) seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {

@@ -367,11 +367,6 @@ impl Ssd {
         self.sched.probe()
     }
 
-    /// Replace the wear-leveling policy (custom experiments).
-    pub fn set_wear_policy(&mut self, policy: Box<dyn WearPolicy>) {
-        self.wear_policy = policy;
-    }
-
     /// Replace the write-buffer policy (custom experiments).
     pub fn set_buffer_policy(&mut self, policy: Box<dyn WriteBufferPolicy>) {
         self.buffer = policy;
@@ -380,11 +375,6 @@ impl Ssd {
     /// Name of the active GC policy.
     pub fn gc_policy_name(&self) -> &'static str {
         self.gc_policy.name()
-    }
-
-    /// Name of the active wear-leveling policy.
-    pub fn wear_policy_name(&self) -> &'static str {
-        self.wear_policy.name()
     }
 
     /// Name of the active write-buffer policy.
@@ -429,13 +419,6 @@ impl Ssd {
     pub fn free_blocks_per_lun(&self) -> Vec<u32> {
         (0..self.cfg.total_luns())
             .map(|i| self.dir.free_blocks(LunId(i)))
-            .collect()
-    }
-
-    /// Valid pages per LUN (diagnostics).
-    pub fn valid_pages_per_lun(&self) -> Vec<u64> {
-        (0..self.cfg.total_luns())
-            .map(|i| self.dir.lun_valid_pages(LunId(i)))
             .collect()
     }
 

@@ -65,23 +65,6 @@ pub struct DriverReport {
     pub latency: Histogram,
 }
 
-impl DriverReport {
-    /// Pretty one-line summary.
-    pub fn summary_line(&self) -> String {
-        let s = self.latency.summary();
-        format!(
-            "{} ops in {} — {:.0} IOPS, {:.1} MB/s, lat p50 {} p99 {} max {}",
-            self.ops,
-            self.makespan,
-            self.iops,
-            self.mb_per_s,
-            SimDuration::from_nanos(s.p50),
-            SimDuration::from_nanos(s.p99),
-            SimDuration::from_nanos(s.max),
-        )
-    }
-}
-
 /// Run `ops` operations against `ssd` with `queue_depth` outstanding on
 /// a [`QueuePair`], drawing addresses from `pattern` and read/write
 /// decisions from `mix`.

@@ -48,7 +48,6 @@ fn main() {
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 0,
-        group_commit: 1,
         ..DbConfig::default()
     };
     let mut flash_cfg = SsdConfig::modern();

@@ -45,7 +45,6 @@ fn main() {
         slots_per_page: 16,
         record_size: 100,
         checkpoint_every: 400,
-        group_commit: 1,
         ..DbConfig::default()
     };
 

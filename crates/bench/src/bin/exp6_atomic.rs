@@ -66,6 +66,22 @@ fn sustained<D: DeviceInterface>(
     )
 }
 
+/// One batch-commit row of the trailing JSON summary.
+fn commit_json(batch: u64, interface: &str, lat: SimDuration, programs: u64) -> String {
+    format!(
+        "{{\"batch\":{batch},\"interface\":\"{interface}\",\"latency_ns\":{},\"programs\":{programs}}}",
+        lat.as_nanos()
+    )
+}
+
+/// One sustained-traffic row of the trailing JSON summary.
+fn sustained_json(interface: &str, makespan: SimDuration, programs: u64, wa: f64) -> String {
+    format!(
+        "{{\"interface\":\"{interface}\",\"makespan_ns\":{},\"programs\":{programs},\"wa\":{wa:.4}}}",
+        makespan.as_nanos()
+    )
+}
+
 fn main() {
     println!("# E6 — atomic commits: native primitive vs host-side workaround");
     section("Batch commit cost (fresh device per row; identical generic harness per interface)");
@@ -77,10 +93,12 @@ fn main() {
         "I/O vs batch",
     ])
     .align(1, Align::Left);
+    let mut commits = Vec::new();
     for batch in [1u64, 4, 16, 64] {
         {
             let mut dev = Ssd::new(modern_unbuffered());
             let (lat, programs) = one_commit(&mut dev, batch);
+            commits.push(commit_json(batch, "journal", lat, programs));
             tbl.row([
                 format!("{batch}"),
                 format!("{} (double-write journal)", dev.label()),
@@ -92,6 +110,7 @@ fn main() {
         {
             let mut dev = ExtendedSsd::new(Ssd::new(modern_unbuffered()));
             let (lat, programs) = one_commit(&mut dev, batch);
+            commits.push(commit_json(batch, "atomic", lat, programs));
             tbl.row([
                 format!("{batch}"),
                 format!("{} (atomic write)", dev.label()),
@@ -103,6 +122,7 @@ fn main() {
         {
             let mut dev = NamelessSsd::new(NamelessConfig::from(&modern_unbuffered()));
             let (lat, programs) = one_commit(&mut dev, batch);
+            commits.push(commit_json(batch, "nameless", lat, programs));
             tbl.row([
                 format!("{batch}"),
                 format!("{} (out-of-place)", dev.label()),
@@ -125,9 +145,11 @@ fn main() {
         "write amplification",
     ])
     .align(0, Align::Left);
+    let mut sustained_rows = Vec::new();
     {
         let mut dev = Ssd::new(modern_unbuffered());
         let (makespan, programs, wa) = sustained(&mut dev, 32, 64, 2048);
+        sustained_rows.push(sustained_json("journal", makespan, programs, wa));
         tbl.row([
             "block FTL + double-write journal".to_string(),
             format!("{makespan}"),
@@ -138,6 +160,7 @@ fn main() {
     {
         let mut dev = ExtendedSsd::new(Ssd::new(modern_unbuffered()));
         let (makespan, programs, wa) = sustained(&mut dev, 32, 64, 2048);
+        sustained_rows.push(sustained_json("atomic", makespan, programs, wa));
         tbl.row([
             "extended block, device atomic write".to_string(),
             format!("{makespan}"),
@@ -148,6 +171,7 @@ fn main() {
     {
         let mut dev = NamelessSsd::new(NamelessConfig::from(&modern_unbuffered()));
         let (makespan, programs, wa) = sustained(&mut dev, 32, 64, 2048);
+        sustained_rows.push(sustained_json("nameless", makespan, programs, wa));
         tbl.row([
             "nameless, host index swap".to_string(),
             format!("{makespan}"),
@@ -157,4 +181,10 @@ fn main() {
     }
     println!("{tbl}");
     note("The journal's extra writes also age the flash twice as fast — the cost compounds through GC and wear.");
+
+    section("Summary (JSON)");
+    println!("```json");
+    println!("{{\"commit\":[{}],", commits.join(","));
+    println!("\"sustained\":[{}]}}", sustained_rows.join(","));
+    println!("```");
 }

@@ -144,6 +144,7 @@ fn main() {
     // ------------------------------------------------------------------
     section("Mapping-table controller RAM (computed from configuration)");
     let mut tbl = Table::new(["scheme", "mapping RAM", "per exported GiB"]).align(0, Align::Left);
+    let mut ram = Vec::new();
     let base = SsdConfig::modern();
     let exported_gib = (base.total_luns() as u64 * base.flash.geometry.total_pages()) as f64
         * base.flash.geometry.page_size as f64
@@ -164,6 +165,7 @@ fn main() {
         ),
         ("nameless", 0),
     ] {
+        ram.push(format!("{{\"scheme\":\"{name}\",\"bytes\":{cfg_bytes}}}"));
         tbl.row([
             name.to_string(),
             format!("{} KiB", cfg_bytes / 1024),
@@ -180,6 +182,7 @@ fn main() {
         "pages scanned",
         "boot scan time",
     ]);
+    let mut boot = Vec::new();
     for blocks in [64u32, 128, 256] {
         let mut cfg = modern_unbuffered();
         cfg.shape.channels = 1;
@@ -193,6 +196,11 @@ fn main() {
         }
         let r = ssd.power_loss_rebuild(ssd.drain_time()).expect("rebuild");
         let raw = ssd.capacity().raw_pages * 4096 / (1 << 20);
+        boot.push(format!(
+            "{{\"blocks_per_lun\":{blocks},\"pages_scanned\":{},\"scan_ns\":{}}}",
+            r.pages_scanned,
+            r.duration.as_nanos()
+        ));
         tbl.row([
             format!("{blocks}"),
             format!("{raw} MiB"),
@@ -219,7 +227,15 @@ fn main() {
     cfg.shape.channels = 2;
     cfg.shape.chips_per_channel = 2;
 
-    fn churn_row(tbl: &mut Table, label: &str, r: ChurnReport) {
+    fn churn_row(tbl: &mut Table, churn: &mut Vec<String>, label: &str, r: ChurnReport) {
+        churn.push(format!(
+            "{{\"device\":\"{label}\",\"mbs\":{:.3},\"wa\":{:.4},\"gc_pages_moved\":{},\"mapping_ram_bytes\":{},\"upcalls\":{}}}",
+            r.throughput_mbs,
+            r.delta.write_amplification(),
+            r.delta.gc_pages_moved,
+            r.delta.mapping_ram_bytes,
+            r.delta.upcalls_delivered
+        ));
         tbl.row([
             label.to_string(),
             format!("{:.1}", r.throughput_mbs),
@@ -238,15 +254,16 @@ fn main() {
         ]);
     }
 
+    let mut churn = Vec::new();
     {
         let mut dev = Ssd::new(cfg.clone());
         let r = tag_churn(&mut dev, 1.0, 2, 5);
-        churn_row(&mut tbl, "page-mapped FTL", r);
+        churn_row(&mut tbl, &mut churn, "page-mapped FTL", r);
     }
     {
         let mut dev = NamelessSsd::new(NamelessConfig::from(&cfg));
         let r = tag_churn(&mut dev, 1.0, 2, 5);
-        churn_row(&mut tbl, "nameless", r);
+        churn_row(&mut tbl, &mut churn, "nameless", r);
     }
     println!("{tbl}");
     note("Same flash, same GC machinery: throughput and WA match — the mapping table bought nothing this workload needed. The upcall rate is the entire protocol cost.");
@@ -261,6 +278,18 @@ fn main() {
         "end-to-end writes / user write",
     ])
     .align(0, Align::Left);
+    let mut lfs = Vec::new();
+    let mut lfs_row = |tbl: &mut Table, design: &str, host_per_user: f64, dev_wa: f64| {
+        lfs.push(format!(
+            "{{\"design\":\"{design}\",\"host_writes_per_user\":{host_per_user:.4},\"device_wa\":{dev_wa:.4}}}"
+        ));
+        tbl.row([
+            design.to_string(),
+            format!("{host_per_user:.2}"),
+            format!("{dev_wa:.2}"),
+            format!("{:.2}", host_per_user * dev_wa),
+        ]);
+    };
 
     // (a) in-place updates straight to the page-mapped FTL
     {
@@ -279,46 +308,49 @@ fn main() {
         let m = ssd.metrics();
         let host_per_user = (m.host_writes - pages) as f64 / user_writes as f64;
         let dev_wa = m.write_amplification();
-        tbl.row([
-            "in-place onto page FTL".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
+        lfs_row(&mut tbl, "in-place onto page FTL", host_per_user, dev_wa);
     }
     // (b) host LFS, segments aligned to flash blocks, layers coordinated
     // via TRIM: the FTL's cleaner goes idle — one log, one cleaner
     {
         let (host_per_user, dev_wa) = run_lfs(&cfg, true, 64);
-        tbl.row([
-            "host LFS, block-aligned segments, TRIM".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
+        lfs_row(
+            &mut tbl,
+            "host LFS, block-aligned segments, TRIM",
+            host_per_user,
+            dev_wa,
+        );
     }
     // (c) host LFS, aligned but no TRIM: sequential segment reuse still
     // lets the FTL infer death — alignment is an accidental protocol
     {
         let (host_per_user, dev_wa) = run_lfs(&cfg, false, 64);
-        tbl.row([
-            "host LFS, block-aligned segments, no TRIM".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
+        lfs_row(
+            &mut tbl,
+            "host LFS, block-aligned segments, no TRIM",
+            host_per_user,
+            dev_wa,
+        );
     }
     // (d) host LFS with segments misaligned to flash blocks and no TRIM:
     // the two cleaners thrash each other — the multiplicative penalty
     {
         let (host_per_user, dev_wa) = run_lfs(&cfg, false, 24);
-        tbl.row([
-            "host LFS, misaligned segments, no TRIM".to_string(),
-            format!("{host_per_user:.2}"),
-            format!("{dev_wa:.2}"),
-            format!("{:.2}", host_per_user * dev_wa),
-        ]);
+        lfs_row(
+            &mut tbl,
+            "host LFS, misaligned segments, no TRIM",
+            host_per_user,
+            dev_wa,
+        );
     }
     println!("{tbl}");
     note("Expected shape: uncoordinated layers multiply — the host cleaner's traffic is amplified again by the FTL's cleaner. Coordination (TRIM, or one shared log via the communication abstraction) collapses the product: 'the management of log-structured files is today handled both at the database level and within the FTL'.");
+
+    section("Summary (JSON)");
+    println!("```json");
+    println!("{{\"mapping_ram\":[{}],", ram.join(","));
+    println!("\"boot_scan\":[{}],", boot.join(","));
+    println!("\"churn\":[{}],", churn.join(","));
+    println!("\"lfs\":[{}]}}", lfs.join(","));
+    println!("```");
 }

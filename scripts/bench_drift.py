@@ -17,8 +17,8 @@ Usage:
                                            # re-timed (best of 3)
 
 Binaries are read from target/release; build them first with
-    cargo build --release -p requiem-bench --bin exp7_synergy \\
-        --bin exp13_db_qd_sweep --bin exp14_cooperating_logs --bin exp15_pcm_wal --bin exp17_shard_sweep
+    cargo build --release -p requiem-bench --bin exp6_atomic --bin exp7_synergy \\
+        --bin exp8_nameless --bin exp13_db_qd_sweep --bin exp14_cooperating_logs --bin exp15_pcm_wal --bin exp17_shard_sweep
 """
 
 import argparse
@@ -33,7 +33,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # snapshot key -> binary
 GATED = {
+    "exp6": "exp6_atomic",
     "exp7": "exp7_synergy",
+    "exp8": "exp8_nameless",
     "exp13": "exp13_db_qd_sweep",
     "exp14": "exp14_cooperating_logs",
     "exp15": "exp15_pcm_wal",

@@ -312,7 +312,7 @@ fn main() {
         "the traced run must exercise the upcall path end-to-end: device GC \
          moved pages and the page table was patched"
     );
-    note("Every span a command spent waiting on a resource held by garbage collection, attributed on the probe bus. The block manager's collector works through dead-but-unTRIMmable WAL and journal pages, so foreground commands stall behind copies that exist only because the interface hid the liveness information.");
+    note("Every GcStall span on the probe bus: a wait on a resource held by garbage collection, whether a host command waited or background work did (`cmd: None`, e.g. a relocation or erase queued behind an earlier GC grant). The block manager's collector works through dead-but-unTRIMmable WAL and journal pages, so commands stall behind copies that exist only because the interface hid the liveness information.");
 
     // ------------------------------------------------------------------
     section("14c. Throughput vs DB concurrency (50/50 mix), both managers");

@@ -266,6 +266,11 @@ fn main() {
         churn_row(&mut tbl, &mut churn, "nameless", r);
     }
     println!("{tbl}");
+    // literally one controller: `NamelessSsd` is the naming protocol over
+    // `Ssd::nameless`, so both rows run requiem-ssd's placement, GC and
+    // recovery; only least-loaded placement and the absent write buffer
+    // are pinned on the nameless side (this config is unbuffered and
+    // least-loaded already)
     note("Same flash, same GC machinery: throughput and WA match — the mapping table bought nothing this workload needed. The upcall rate is the entire protocol cost.");
 
     // ------------------------------------------------------------------

@@ -3,7 +3,9 @@
 //! §3: *"the database system is no longer the master and secondary
 //! storage a slave (they are communicating peers)"*. Concretely, the
 //! device initiates messages the block interface has no way to express:
-//! a migrated page's new name, garbage-collection pressure, wear status.
+//! a migrated page's new name and a block retired for wear. The
+//! [`NamelessSsd`](crate::nameless::NamelessSsd) posts both after every
+//! command.
 
 use requiem_sim::time::SimTime;
 use std::collections::VecDeque;
@@ -24,16 +26,9 @@ pub enum Upcall {
         /// When the migration happened.
         at: SimTime,
     },
-    /// Free space is running low; the host may want to free or trim.
-    GcPressure {
-        /// Free blocks remaining across the device.
-        free_blocks: u32,
-        /// When the pressure was observed.
-        at: SimTime,
-    },
     /// A block was retired for wear; capacity shrank.
     BlockRetired {
-        /// When it happened.
+        /// Submission instant of the command during which it happened.
         at: SimTime,
     },
 }
@@ -112,14 +107,16 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let mut q = UpcallQueue::new();
-        q.push(Upcall::GcPressure {
-            free_blocks: 3,
+        q.push(Upcall::BlockRetired { at: SimTime::ZERO });
+        q.push(Upcall::Migrated {
+            tag: 1,
+            old: name(0, 0, 0),
+            new: name(1, 0, 0),
             at: SimTime::ZERO,
         });
-        q.push(Upcall::BlockRetired { at: SimTime::ZERO });
         assert_eq!(q.len(), 2);
-        assert!(matches!(q.pop(), Some(Upcall::GcPressure { .. })));
         assert!(matches!(q.pop(), Some(Upcall::BlockRetired { .. })));
+        assert!(matches!(q.pop(), Some(Upcall::Migrated { tag: 1, .. })));
         assert!(q.pop().is_none());
         assert_eq!(q.delivered(), 2);
     }

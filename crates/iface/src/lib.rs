@@ -17,7 +17,10 @@
 //!   host stores names instead of maintaining a redundant logical map.
 //!   When garbage collection migrates a page, the device sends the host an
 //!   *upcall* — the peer-to-peer message flow of the communication
-//!   abstraction. The FTL's RAM-hungry mapping table disappears.
+//!   abstraction. The FTL's RAM-hungry mapping table disappears. The
+//!   device is only that naming protocol over `requiem-ssd`'s own
+//!   controller (`Ssd::nameless`): same flash, placement, GC and
+//!   recovery as the block SSD, so comparisons vary the interface alone.
 //! * [`comm::Upcall`] — the device→host message vocabulary.
 //! * [`device::DeviceInterface`] — one trait over all three interfaces
 //!   (block, extended block, nameless), in host vocabulary (tags and

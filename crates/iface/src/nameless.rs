@@ -16,95 +16,40 @@
 //! stale name gets [`NamelessError::StaleName`] (detectable via the
 //! out-of-band tag), so correctness is preserved even with a lazy host.
 //!
-//! [`NamelessSsd`] reuses the same flash, channel, directory, and GC
-//! machinery as `requiem-ssd` — only the mapping is gone.
+//! [`NamelessSsd`] is only that naming protocol. The flash, placement,
+//! GC, wear leveling, read recovery and salvage underneath are the block
+//! SSD's own controller, built with [`Ssd::nameless`]: a mapping state in
+//! which the host holds the names and relocations are logged for the
+//! host instead of remapped. After every command the device turns that
+//! log into `Migrated` upcalls and its block retirements into
+//! `BlockRetired`. Two differences from a block SSD built from the same
+//! [`SsdConfig`] remain by design: placement is always least-loaded (the
+//! controller picks the LUN that can start soonest), and there is no
+//! write buffer — a nameless write completes when its program does.
 
-use requiem_flash::{FlashError, FlashSpec, Lun, PageAddr, PagePayload};
-use requiem_sim::probe::{Cause, Layer, Probe};
 use requiem_sim::time::{SimDuration, SimTime};
-use requiem_sim::{FaultPlan, IoStatus, Occupant, Resource};
-use requiem_ssd::addr::{ArrayShape, LunId, PhysPage};
-use requiem_ssd::block_dir::{BlockDirectory, Stream};
-use requiem_ssd::channel::ChannelTiming;
-use requiem_ssd::config::{GcPolicyKind, SsdConfig};
-use requiem_ssd::metrics::{OpCause, SsdMetrics};
-use requiem_ssd::Lpn;
-use serde::{Deserialize, Serialize};
+use requiem_sim::{IoStatus, Probe};
+use requiem_ssd::config::{Placement, SsdConfig};
+use requiem_ssd::metrics::SsdMetrics;
+use requiem_ssd::{PhysPage, Ssd, SsdError};
 
 use crate::comm::{Upcall, UpcallQueue};
 
-/// The resource occupant tag for a flash operation cause (the nameless
-/// twin of the block controller's mapping — kept local because the
-/// scheduler's helper is crate-private to `requiem-ssd`).
-fn occupant_of(cause: OpCause) -> Occupant {
-    match cause {
-        OpCause::Host => Occupant::Host,
-        OpCause::Gc => Occupant::Gc,
-        OpCause::WearLevel => Occupant::Wear,
-        OpCause::Merge => Occupant::Merge,
-        OpCause::Translation => Occupant::Translation,
-        OpCause::Recovery => Occupant::Recovery,
-    }
-}
-
 /// The physical name of a written page — the device-chosen location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct PhysName {
-    /// The LUN holding the page.
-    pub lun: LunId,
-    /// The page within the LUN.
-    pub addr: PageAddr,
-}
+pub type PhysName = PhysPage;
 
-/// Configuration of a nameless device (the FTL-mapping knobs of
-/// [`SsdConfig`] are meaningless here and absent).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct NamelessConfig {
-    /// Array shape.
-    pub shape: ArrayShape,
-    /// Flash die specification.
-    pub flash: FlashSpec,
-    /// Channel timing.
-    pub channel: ChannelTiming,
-    /// Host link throughput, bytes/µs.
-    pub host_link_bytes_per_us: u32,
-    /// Controller overhead per command.
-    pub controller_overhead: SimDuration,
-    /// GC trigger threshold (free blocks per LUN).
-    pub gc_threshold: u32,
-    /// Use on-die copyback for relocations.
-    pub copyback: bool,
-    /// Wear-aware block allocation.
-    pub wear_aware: bool,
-    /// Over-provisioning ratio the host is expected to respect: the
-    /// fraction of raw pages it must leave unnamed so GC has headroom.
-    /// A block-device FTL enforces this by exporting fewer LBAs; a
-    /// nameless device can only *tell* the host (another message the
-    /// communication abstraction carries that the block interface hides).
-    pub op_ratio: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Deterministic fault-injection plan ([`FaultPlan::none`] injects
-    /// nothing and is bit-exact with the pre-fault code).
-    #[serde(default)]
-    pub fault: FaultPlan,
-}
+/// Configuration of a nameless device: the [`SsdConfig`] it is built
+/// from, with placement pinned to [`Placement::LeastLoaded`]. The
+/// mapping knobs (`ftl`) and the write buffer are unused.
+#[derive(Debug, Clone)]
+pub struct NamelessConfig(SsdConfig);
 
 impl From<&SsdConfig> for NamelessConfig {
     fn from(c: &SsdConfig) -> Self {
-        NamelessConfig {
-            shape: c.shape.clone(),
-            flash: c.flash.clone(),
-            channel: c.channel.clone(),
-            host_link_bytes_per_us: c.host_link_bytes_per_us,
-            controller_overhead: c.controller_overhead,
-            gc_threshold: c.gc.free_block_threshold,
-            copyback: c.gc.copyback,
-            wear_aware: c.wl.dynamic,
-            op_ratio: c.op_ratio,
-            seed: c.seed,
-            fault: c.fault.clone(),
-        }
+        NamelessConfig(SsdConfig {
+            placement: Placement::LeastLoaded,
+            ..c.clone()
+        })
     }
 }
 
@@ -117,8 +62,19 @@ pub enum NamelessError {
         /// The stale name presented.
         name: PhysName,
     },
-    /// No usable space left.
+    /// The device could not place the page: no usable space left.
     DeviceFull,
+}
+
+impl From<SsdError> for NamelessError {
+    fn from(e: SsdError) -> Self {
+        match e {
+            SsdError::StaleName { phys } => NamelessError::StaleName { name: phys },
+            // out of space, or a flash command the controller could not
+            // complete: either way the page has no name to return
+            _ => NamelessError::DeviceFull,
+        }
+    }
 }
 
 impl std::fmt::Display for NamelessError {
@@ -149,24 +105,15 @@ pub struct NamelessCompletion {
 
 /// A flash device with no FTL mapping: nameless writes + migration upcalls.
 pub struct NamelessSsd {
-    cfg: NamelessConfig,
-    luns: Vec<Lun>,
-    lun_res: Vec<Resource>,
-    chan_res: Vec<Resource>,
-    host_link: Resource,
-    dir: BlockDirectory,
+    ssd: Ssd,
     upcalls: UpcallQueue,
-    metrics: SsdMetrics,
-    rr: u32,
-    gc_active: bool,
-    probe: Probe,
 }
 
 impl std::fmt::Debug for NamelessSsd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NamelessSsd")
-            .field("luns", &self.luns.len())
-            .field("writes", &self.metrics.host_writes)
+            .field("luns", &self.ssd.config().total_luns())
+            .field("writes", &self.ssd.metrics().host_writes)
             .field("pending_upcalls", &self.upcalls.len())
             .finish()
     }
@@ -175,60 +122,32 @@ impl std::fmt::Debug for NamelessSsd {
 impl NamelessSsd {
     /// Build a nameless device.
     pub fn new(cfg: NamelessConfig) -> Self {
-        let nluns = cfg.shape.total_luns();
-        let geom = cfg.flash.geometry.clone();
         NamelessSsd {
-            luns: (0..nluns)
-                .map(|i| {
-                    let mut lun = Lun::new(i, cfg.flash.clone(), cfg.seed);
-                    lun.apply_faults(cfg.fault.unit_view(i));
-                    lun
-                })
-                .collect(),
-            lun_res: (0..nluns)
-                .map(|i| Resource::new(format!("chip{i}")))
-                .collect(),
-            chan_res: (0..cfg.shape.channels)
-                .map(|i| Resource::new(format!("chan{i}")))
-                .collect(),
-            host_link: Resource::new("host-link"),
-            dir: BlockDirectory::new(nluns, geom),
+            ssd: Ssd::nameless(cfg.0),
             upcalls: UpcallQueue::new(),
-            metrics: SsdMetrics::new(),
-            rr: 0,
-            gc_active: false,
-            probe: Probe::disabled(),
-            cfg,
         }
     }
 
-    /// Attach an observability probe. An enabled probe turns on occupant
-    /// tracking for every resource, so a host command stalled behind GC
-    /// relocations gets the wait blamed as `GcStall` spans — the same
-    /// discipline the block controller follows, which is what lets E14
-    /// compare stall blame across the two interfaces.
+    /// Attach an observability probe: the controller's span discipline
+    /// (occupant-blamed queueing, background GC) applies unchanged, which
+    /// is what lets E14 compare stall blame across the two interfaces.
     pub fn attach_probe(&mut self, probe: Probe) {
-        let on = probe.is_enabled();
-        self.probe = probe;
-        for r in self.lun_res.iter_mut().chain(self.chan_res.iter_mut()) {
-            r.track_occupants(on);
-        }
-        self.host_link.track_occupants(on);
+        self.ssd.attach_probe(probe);
     }
 
     /// The attached probe (disabled handle when none was attached).
     pub fn probe(&self) -> &Probe {
-        &self.probe
+        self.ssd.probe()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &NamelessConfig {
-        &self.cfg
+    /// The device configuration.
+    pub fn config(&self) -> &SsdConfig {
+        self.ssd.config()
     }
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> &SsdMetrics {
-        &self.metrics
+        self.ssd.metrics()
     }
 
     /// The device→host message queue.
@@ -242,10 +161,11 @@ impl NamelessSsd {
     }
 
     /// Distinct host tags the device can keep live while honouring its
-    /// over-provisioning ratio (the analog of an FTL's exported LBA count).
+    /// over-provisioning ratio (the analog of an FTL's exported LBA
+    /// count). A block-device FTL enforces the ratio by exporting fewer
+    /// LBAs; a nameless device can only *tell* the host.
     pub fn usable_tags(&self) -> u64 {
-        let raw = self.cfg.shape.total_luns() as u64 * self.cfg.flash.geometry.total_pages();
-        (raw as f64 * (1.0 - self.cfg.op_ratio)) as u64
+        self.ssd.capacity().exported_pages
     }
 
     /// Controller RAM spent on logical→physical mapping: **zero** — the
@@ -256,447 +176,23 @@ impl NamelessSsd {
 
     /// When all queued operations drain.
     pub fn drain_time(&self) -> SimTime {
-        let mut t = self.host_link.next_free();
-        for r in self.lun_res.iter().chain(self.chan_res.iter()) {
-            t = t.max(r.next_free());
+        self.ssd.drain_time()
+    }
+
+    /// Post what the last command did behind the host's back: one
+    /// `BlockRetired` per block retired since `retired_before`, then one
+    /// `Migrated` per logged relocation, in the order they happened.
+    fn post_upcalls(&mut self, retired_before: u64, at: SimTime) {
+        for _ in retired_before..self.ssd.metrics().blocks_retired {
+            self.upcalls.push(Upcall::BlockRetired { at });
         }
-        t
-    }
-
-    fn host_link_time(&self) -> SimDuration {
-        let bytes = self.cfg.flash.geometry.page_size;
-        SimDuration::from_nanos(
-            (bytes as u64 * 1_000).div_ceil(self.cfg.host_link_bytes_per_us as u64),
-        )
-    }
-
-    fn place_lun(&mut self, t: SimTime) -> LunId {
-        let prog = self.cfg.flash.timing.program_mean();
-        let n = self.cfg.shape.total_luns();
-        let offset = self.rr;
-        self.rr = self.rr.wrapping_add(1);
-        let mut best = LunId(offset % n);
-        let mut best_start = SimTime::MAX;
-        for k in 0..n {
-            let l = self.cfg.shape.interleaved_lun((offset.wrapping_add(k)) % n);
-            if self.dir.exhausted(l) {
-                continue;
-            }
-            let start = self.lun_res[l.0 as usize].peek(t, prog).start;
-            if start < best_start {
-                best_start = start;
-                best = l;
-            }
-        }
-        best
-    }
-
-    /// Program one page. A worn-out or fault-scheduled program surfaces
-    /// as `Err(())`; the caller retires the block and relocates its live
-    /// pages ([`NamelessSsd::salvage_and_retire`]). The failed attempt's
-    /// program time is still charged — the chip spent it.
-    fn op_program(
-        &mut self,
-        not_before: SimTime,
-        phys: PhysPage,
-        tag: u64,
-        use_channel: bool,
-        cause: OpCause,
-    ) -> Result<SimTime, ()> {
-        let chan = self.cfg.shape.channel_of(phys.lun) as usize;
-        let occ = occupant_of(cause);
-        let start = if use_channel {
-            let bus = self
-                .cfg
-                .channel
-                .write_bus_time(self.cfg.flash.geometry.page_size);
-            let cg = self.chan_res[chan].reserve_tagged(not_before, bus, occ);
-            if self.probe.is_enabled() {
-                let blame = self.chan_res[chan].blame(not_before, cg.start);
-                self.probe.wait_spans(
-                    Layer::Channel,
-                    self.chan_res[chan].name(),
-                    not_before,
-                    cg.start,
-                    &blame,
-                );
-                self.probe.span(
-                    Layer::Channel,
-                    Cause::Transfer,
-                    self.chan_res[chan].name(),
-                    cg.start,
-                    cg.end,
-                );
-            }
-            cg.end
-        } else {
-            not_before
-        };
-        let dur = match self.luns[phys.lun.0 as usize].program(phys.addr, PagePayload::Tag(tag)) {
-            Ok(o) => o.duration,
-            Err(FlashError::ProgramFailed { .. }) => {
-                self.lun_res[phys.lun.0 as usize].reserve_tagged(
-                    start,
-                    self.cfg.flash.timing.program(phys.addr.page),
-                    occ,
-                );
-                return Err(());
-            }
-            Err(e) => unreachable!("nameless controller bug: illegal program: {e}"),
-        };
-        let g = self.lun_res[phys.lun.0 as usize].reserve_tagged(start, dur, occ);
-        if self.probe.is_enabled() {
-            let li = phys.lun.0 as usize;
-            let blame = self.lun_res[li].blame(start, g.start);
-            self.probe.wait_spans(
-                Layer::Flash,
-                self.lun_res[li].name(),
-                start,
-                g.start,
-                &blame,
-            );
-            self.probe.span(
-                Layer::Flash,
-                Cause::CellProgram,
-                self.lun_res[li].name(),
-                g.start,
-                g.end,
-            );
-        }
-        self.metrics.flash_programs.bump(cause);
-        Ok(g.end)
-    }
-
-    /// A program failed on a worn-out block: retire it and move its live
-    /// pages somewhere safe. Every relocation is announced to the host
-    /// as [`Upcall::Migrated`] — the communication abstraction lets the
-    /// device *say* what a block-device FTL would silently absorb.
-    fn salvage_and_retire(&mut self, lun: LunId, addr: PageAddr, t: SimTime) {
-        self.metrics.recovery.program_salvages += 1;
-        self.metrics.blocks_retired += 1;
-        let geom = self.cfg.flash.geometry.clone();
-        let block_idx = geom.block_index(geom.block_of(addr));
-        // retire FIRST so relocations below can never target this block
-        self.dir.retire(lun, block_idx);
-        self.upcalls.push(Upcall::BlockRetired { at: t });
-        let live = self.dir.live_pages(lun, block_idx);
-        for (a, tag) in live {
-            let old = PhysPage { lun, addr: a };
-            let (after_read, _payload, _st) = self.op_read(t, old, false, OpCause::WearLevel, None);
-            let Some(np) = self.dir.next_page(lun, Stream::Gc, self.cfg.wear_aware) else {
-                return; // out of space: page stays readable on the retired block
-            };
-            if self
-                .op_program(after_read, np.phys, tag.0, false, OpCause::WearLevel)
-                .is_err()
-            {
-                // nested failure: leave the page where it is
-                continue;
-            }
-            self.dir.invalidate(old);
-            self.dir.mark_valid(np.phys, tag);
+        for m in self.ssd.take_moves() {
             self.upcalls.push(Upcall::Migrated {
-                tag: tag.0,
-                old: PhysName {
-                    lun: old.lun,
-                    addr: old.addr,
-                },
-                new: PhysName {
-                    lun: np.phys.lun,
-                    addr: np.phys.addr,
-                },
-                at: t,
+                tag: m.tag,
+                old: m.old,
+                new: m.new,
+                at: m.at,
             });
-        }
-    }
-
-    /// Read one flash page, running the recovery pipeline when the ECC
-    /// gives up: read-retry ladder → soft-decode escalation → XOR parity
-    /// rebuild across the LUN stripe. `tag` enables the nameless
-    /// device's signature move: a successful parity rebuild rewrites the
-    /// page at a fresh location and *tells the host* via
-    /// [`Upcall::Migrated`] (pass `None` on GC relocation reads, which
-    /// re-home the page themselves). Returns the completion instant, the
-    /// payload, and how hard the device had to work for it.
-    fn op_read(
-        &mut self,
-        not_before: SimTime,
-        phys: PhysPage,
-        with_transfer: bool,
-        cause: OpCause,
-        tag: Option<u64>,
-    ) -> (SimTime, PagePayload, IoStatus) {
-        let chan = self.cfg.shape.channel_of(phys.lun) as usize;
-        let li = phys.lun.0 as usize;
-        let occ = occupant_of(cause);
-        // command cycles are latency, not bus occupancy (see requiem-ssd)
-        let cmd_done = not_before + self.cfg.channel.command;
-        self.metrics.flash_reads.bump(cause);
-        if self.probe.is_enabled() {
-            self.probe.span(
-                Layer::Channel,
-                Cause::Command,
-                self.chan_res[chan].name(),
-                not_before,
-                cmd_done,
-            );
-        }
-        let finish = |slf: &mut Self, from: SimTime, payload: PagePayload, status: IoStatus| {
-            if with_transfer {
-                let xfer = slf.cfg.flash.geometry.page_size;
-                let xg =
-                    slf.chan_res[chan].reserve_tagged(from, slf.cfg.channel.transfer(xfer), occ);
-                if slf.probe.is_enabled() {
-                    let blame = slf.chan_res[chan].blame(from, xg.start);
-                    slf.probe.wait_spans(
-                        Layer::Channel,
-                        slf.chan_res[chan].name(),
-                        from,
-                        xg.start,
-                        &blame,
-                    );
-                    slf.probe.span(
-                        Layer::Channel,
-                        Cause::Transfer,
-                        slf.chan_res[chan].name(),
-                        xg.start,
-                        xg.end,
-                    );
-                }
-                (xg.end, payload, status)
-            } else {
-                (from, payload, status)
-            }
-        };
-        match self.luns[li].read(phys.addr) {
-            Ok(o) => {
-                let lg = self.lun_res[li].reserve_tagged(cmd_done, o.duration, occ);
-                if self.probe.is_enabled() {
-                    let blame = self.lun_res[li].blame(cmd_done, lg.start);
-                    self.probe.wait_spans(
-                        Layer::Flash,
-                        self.lun_res[li].name(),
-                        cmd_done,
-                        lg.start,
-                        &blame,
-                    );
-                    self.probe.span(
-                        Layer::Flash,
-                        Cause::CellRead,
-                        self.lun_res[li].name(),
-                        lg.start,
-                        lg.end,
-                    );
-                }
-                finish(self, lg.end, o.payload, IoStatus::Ok)
-            }
-            Err(FlashError::UncorrectableRead { .. }) => {
-                self.metrics.uncorrectable_reads += 1;
-                // the failed sense still occupied the chip
-                let lg = self.lun_res[li].reserve_tagged(cmd_done, self.cfg.flash.timing.read, occ);
-                let mut cursor = lg.end;
-                let t_read = self.cfg.flash.timing.read;
-                let mut steps = 0u32;
-                let mut payload: Option<PagePayload> = None;
-                let mut rebuilt = false;
-                // stage 1: read-retry ladder (shifted reference voltages)
-                for derate in [0.6, 0.35, 0.2] {
-                    steps += 1;
-                    self.metrics.recovery.retry_attempts += 1;
-                    self.metrics.flash_reads.bump(OpCause::Recovery);
-                    let g = self.lun_res[li].reserve_tagged(cursor, t_read, Occupant::Recovery);
-                    cursor = g.end;
-                    if let Ok(o) = self.luns[li].recovery_read(phys.addr, derate, 1.0) {
-                        self.metrics.recovery.retry_recovered += 1;
-                        payload = Some(o.payload);
-                        break;
-                    }
-                }
-                // stage 2: soft-decode escalation (stronger ECC mode)
-                if payload.is_none() {
-                    steps += 1;
-                    self.metrics.recovery.ecc_escalations += 1;
-                    self.metrics.flash_reads.bump(OpCause::Recovery);
-                    let g = self.lun_res[li].reserve_tagged(cursor, t_read * 4, Occupant::Recovery);
-                    cursor = g.end;
-                    if let Ok(o) = self.luns[li].recovery_read(phys.addr, 0.5, 1.5) {
-                        self.metrics.recovery.ecc_recovered += 1;
-                        payload = Some(o.payload);
-                    }
-                }
-                // stage 3: XOR parity rebuild across the LUN stripe
-                let nluns = self.luns.len();
-                if payload.is_none() && nluns > 1 {
-                    self.metrics.recovery.parity_rebuilds += 1;
-                    let rb_start = cursor;
-                    let mut rb_end = cursor;
-                    for peer in 0..nluns {
-                        if peer == li {
-                            continue;
-                        }
-                        steps += 1;
-                        self.metrics.recovery.rebuild_page_reads += 1;
-                        self.metrics.flash_reads.bump(OpCause::Recovery);
-                        let g =
-                            self.lun_res[peer].reserve_tagged(rb_start, t_read, Occupant::Recovery);
-                        rb_end = rb_end.max(g.end);
-                    }
-                    cursor = rb_end;
-                    if let Some(p) = self.luns[li].parity_reconstruct(phys.addr) {
-                        payload = Some(p);
-                        rebuilt = true;
-                    }
-                }
-                self.metrics.recovery.recovery_time += cursor.since(lg.end);
-                if self.probe.is_enabled() {
-                    self.probe.span(
-                        Layer::Flash,
-                        Cause::Recovery,
-                        self.lun_res[li].name(),
-                        lg.end,
-                        cursor,
-                    );
-                }
-                let Some(payload) = payload else {
-                    self.metrics.recovery.unrecoverable += 1;
-                    return finish(self, cursor, PagePayload::Empty, IoStatus::Unrecoverable);
-                };
-                // a rebuilt page sits on dying media: re-home it and tell
-                // the host its new name (block FTLs do this silently —
-                // the nameless interface has a channel to say so)
-                if rebuilt {
-                    if let Some(t) = tag {
-                        if let Some(np) =
-                            self.dir
-                                .next_page(phys.lun, Stream::Gc, self.cfg.wear_aware)
-                        {
-                            if self
-                                .op_program(cursor, np.phys, t, false, OpCause::Recovery)
-                                .is_ok()
-                            {
-                                self.metrics.recovery.rebuild_relocations += 1;
-                                self.dir.invalidate(phys);
-                                self.dir.mark_valid(np.phys, Lpn(t));
-                                self.upcalls.push(Upcall::Migrated {
-                                    tag: t,
-                                    old: PhysName {
-                                        lun: phys.lun,
-                                        addr: phys.addr,
-                                    },
-                                    new: PhysName {
-                                        lun: np.phys.lun,
-                                        addr: np.phys.addr,
-                                    },
-                                    at: cursor,
-                                });
-                            }
-                        }
-                    }
-                }
-                let status = IoStatus::RecoveredAfterRetry { steps };
-                finish(self, cursor, payload, status)
-            }
-            Err(e) => unreachable!("nameless controller bug: illegal read: {e}"),
-        }
-    }
-
-    fn maybe_gc(&mut self, lun: LunId, t: SimTime) {
-        if self.gc_active {
-            return;
-        }
-        // GC runs on device time off the host command's critical path:
-        // its spans are background (`cmd: None`); its cost reaches host
-        // commands only as occupant-blamed queueing delay (`GcStall`).
-        let _bg = self.probe.background();
-        self.gc_active = true;
-        let mut guard = self.cfg.flash.geometry.total_blocks();
-        while self.dir.free_blocks(lun) <= self.cfg.gc_threshold && guard > 0 {
-            guard -= 1;
-            let Some(victim) = self.dir.pick_victim(lun, GcPolicyKind::Greedy) else {
-                break;
-            };
-            self.gc_collect(lun, victim, t);
-        }
-        self.gc_active = false;
-    }
-
-    /// Allocate a page on `lun` and program it, salvaging and retrying
-    /// on a failed program. `None` when the device is out of space.
-    fn program_retrying(
-        &mut self,
-        t: SimTime,
-        lun: LunId,
-        stream: Stream,
-        tag: u64,
-        use_channel: bool,
-        cause: OpCause,
-    ) -> Option<(PhysPage, SimTime)> {
-        let mut tries = self.luns.len() as u32 * 4;
-        loop {
-            let np = self.dir.next_page(lun, stream, self.cfg.wear_aware)?;
-            match self.op_program(t, np.phys, tag, use_channel, cause) {
-                Ok(end) => return Some((np.phys, end)),
-                Err(()) => {
-                    self.salvage_and_retire(np.phys.lun, np.phys.addr, t);
-                    tries -= 1;
-                    if tries == 0 {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
-    fn gc_collect(&mut self, lun: LunId, victim: u32, t: SimTime) {
-        self.metrics.gc_runs += 1;
-        let live = self.dir.live_pages(lun, victim);
-        for (addr, tag) in live {
-            let old = PhysPage { lun, addr };
-            let copyback = self.cfg.copyback;
-            let (after_read, _payload, _st) = self.op_read(t, old, !copyback, OpCause::Gc, None);
-            let Some((newphys, _end)) =
-                self.program_retrying(after_read, lun, Stream::Gc, tag.0, !copyback, OpCause::Gc)
-            else {
-                // worn-out device: leave the page where it is
-                continue;
-            };
-            self.dir.invalidate(old);
-            self.dir.mark_valid(newphys, tag);
-            self.metrics.gc_pages_moved += 1;
-            // the peer-to-peer message: tell the host where its page went
-            self.upcalls.push(Upcall::Migrated {
-                tag: tag.0,
-                old: PhysName {
-                    lun: old.lun,
-                    addr: old.addr,
-                },
-                new: PhysName {
-                    lun: newphys.lun,
-                    addr: newphys.addr,
-                },
-                at: t,
-            });
-        }
-        // erase the victim
-        let baddr = self.cfg.flash.geometry.block_from_index(victim);
-        let cmd_done = t + self.cfg.channel.command;
-        match self.luns[lun.0 as usize].erase(baddr) {
-            Ok(o) => {
-                self.lun_res[lun.0 as usize].reserve_tagged(cmd_done, o.duration, Occupant::Gc);
-                self.metrics.flash_erases.bump(OpCause::Gc);
-                self.dir.recycle(lun, victim);
-            }
-            Err(FlashError::EraseFailed { .. }) => {
-                self.lun_res[lun.0 as usize].reserve_tagged(
-                    cmd_done,
-                    self.cfg.flash.timing.erase,
-                    Occupant::Gc,
-                );
-                self.metrics.blocks_retired += 1;
-                self.dir.retire(lun, victim);
-                self.upcalls.push(Upcall::BlockRetired { at: t });
-            }
-            Err(e) => unreachable!("nameless controller bug: illegal erase: {e}"),
         }
     }
 
@@ -704,61 +200,15 @@ impl NamelessSsd {
     /// `tag` is an opaque host identifier stored out-of-band (and echoed
     /// in migration upcalls).
     pub fn write(&mut self, now: SimTime, tag: u64) -> Result<NamelessCompletion, NamelessError> {
-        self.metrics.host_writes += 1;
-        let scope = self.probe.open_command("write", now);
-        let link = self
-            .host_link
-            .reserve_tagged(now, self.host_link_time(), Occupant::Host);
-        let t = link.end + self.cfg.controller_overhead;
-        if self.probe.is_enabled() {
-            let blame = self.host_link.blame(now, link.start);
-            self.probe.wait_spans(
-                Layer::HostLink,
-                self.host_link.name(),
-                now,
-                link.start,
-                &blame,
-            );
-            self.probe.span(
-                Layer::HostLink,
-                Cause::Transfer,
-                self.host_link.name(),
-                link.start,
-                link.end,
-            );
-            self.probe
-                .span(Layer::Controller, Cause::Overhead, "ctrl", link.end, t);
-        }
-        let lun = self.place_lun(t);
-        self.maybe_gc(lun, t);
-        let salvages_before = self.metrics.recovery.program_salvages;
-        let Some((phys, done)) =
-            self.program_retrying(t, lun, Stream::Host, tag, true, OpCause::Host)
-        else {
-            // dropping the scope aborts the probe command — a rejected
-            // write has no completion instant to close with
-            drop(scope);
-            return Err(NamelessError::DeviceFull);
-        };
-        self.dir.mark_valid(phys, Lpn(tag));
-        let latency = done.since(now);
-        self.metrics.write_latency.record_duration(latency);
-        let salvages = (self.metrics.recovery.program_salvages - salvages_before) as u32;
-        let status = if salvages > 0 {
-            IoStatus::RecoveredAfterRetry { steps: salvages }
-        } else {
-            IoStatus::Ok
-        };
-        scope.close(done);
-        self.probe.note_status(status.as_str());
+        let retired = self.ssd.metrics().blocks_retired;
+        let written = self.ssd.write_named(now, tag);
+        self.post_upcalls(retired, now);
+        let (name, c) = written?;
         Ok(NamelessCompletion {
-            name: PhysName {
-                lun: phys.lun,
-                addr: phys.addr,
-            },
-            done,
-            latency,
-            status,
+            name,
+            done: c.done,
+            latency: c.latency,
+            status: c.status,
         })
     }
 
@@ -772,49 +222,11 @@ impl NamelessSsd {
         name: PhysName,
         tag: u64,
     ) -> Result<(SimTime, SimDuration, IoStatus), NamelessError> {
-        self.metrics.host_reads += 1;
-        let geom = &self.cfg.flash.geometry;
-        let bidx = geom.block_index(geom.block_of(name.addr));
-        let info = self.dir.block_info(name.lun, bidx);
-        if info.backptrs[name.addr.page as usize] != Some(Lpn(tag)) {
-            return Err(NamelessError::StaleName { name });
-        }
-        let scope = self.probe.open_command("read", now);
-        let t = now + self.cfg.controller_overhead;
-        if self.probe.is_enabled() {
-            self.probe
-                .span(Layer::Controller, Cause::Overhead, "ctrl", now, t);
-        }
-        let phys = PhysPage {
-            lun: name.lun,
-            addr: name.addr,
-        };
-        let (flash_done, _payload, status) = self.op_read(t, phys, true, OpCause::Host, Some(tag));
-        let out = self
-            .host_link
-            .reserve_tagged(flash_done, self.host_link_time(), Occupant::Host);
-        if self.probe.is_enabled() {
-            let blame = self.host_link.blame(flash_done, out.start);
-            self.probe.wait_spans(
-                Layer::HostLink,
-                self.host_link.name(),
-                flash_done,
-                out.start,
-                &blame,
-            );
-            self.probe.span(
-                Layer::HostLink,
-                Cause::Transfer,
-                self.host_link.name(),
-                out.start,
-                out.end,
-            );
-        }
-        scope.close(out.end);
-        self.probe.note_status(status.as_str());
-        let latency = out.end.since(now);
-        self.metrics.read_latency.record_duration(latency);
-        Ok((out.end, latency, status))
+        let retired = self.ssd.metrics().blocks_retired;
+        let read = self.ssd.read_named(now, name, tag);
+        self.post_upcalls(retired, now);
+        let c = read?;
+        Ok((c.done, c.latency, c.status))
     }
 
     /// Free the page at `name` (the trim analog — but exact, since the
@@ -825,25 +237,7 @@ impl NamelessSsd {
         name: PhysName,
         tag: u64,
     ) -> Result<SimTime, NamelessError> {
-        self.metrics.host_trims += 1;
-        let geom = &self.cfg.flash.geometry;
-        let bidx = geom.block_index(geom.block_of(name.addr));
-        let info = self.dir.block_info(name.lun, bidx);
-        if info.backptrs[name.addr.page as usize] != Some(Lpn(tag)) {
-            return Err(NamelessError::StaleName { name });
-        }
-        self.dir.invalidate(PhysPage {
-            lun: name.lun,
-            addr: name.addr,
-        });
-        let done = now + self.cfg.controller_overhead;
-        let scope = self.probe.open_command("free", now);
-        if self.probe.is_enabled() {
-            self.probe
-                .span(Layer::Controller, Cause::Overhead, "ctrl", now, done);
-        }
-        scope.close(done);
-        Ok(done)
+        Ok(self.ssd.free_named(now, name, tag)?.done)
     }
 }
 

@@ -27,7 +27,7 @@ use requiem_sim::time::SimTime;
 use crate::addr::{Lpn, LunId, PhysPage};
 use crate::block_dir::{BlockDirectory, Stream};
 use crate::config::GcPolicyKind;
-use crate::device::{MappingState, Ssd, SsdError};
+use crate::device::{MappingState, Moved, Ssd, SsdError};
 use crate::mapping::dftl::{TransIo, TransIoKind};
 use crate::metrics::OpCause;
 
@@ -152,9 +152,10 @@ impl GcPolicy for CostBenefitGc {
 // ----------------------------------------------------------------------
 
 impl Ssd {
-    /// Run GC on `lun` until it has breathing room (page-mapped FTLs only).
+    /// Run GC on `lun` until it has breathing room (page-mapped FTLs and
+    /// nameless devices only).
     pub(crate) fn maybe_gc(&mut self, lun: LunId, t: SimTime) {
-        if !matches!(self.map, MappingState::Page(_) | MappingState::Dftl(_)) {
+        if !self.relocates_pages() {
             return;
         }
         let Some(token) = self.gc_gate.try_enter() else {
@@ -210,6 +211,16 @@ impl Ssd {
         Ok(())
     }
 
+    /// Whether the mapping state lets the controller move live pages:
+    /// the page-mapped FTLs remap them, a nameless device logs the move
+    /// for its host. Fixed-offset FTLs (block / hybrid) cannot.
+    pub(crate) fn relocates_pages(&self) -> bool {
+        matches!(
+            self.map,
+            MappingState::Page(_) | MappingState::Dftl(_) | MappingState::Named(_)
+        )
+    }
+
     /// Move one live page elsewhere (GC / wear leveling / salvage).
     /// Fails only when no LUN can host the page (worn-out device); the
     /// source page is left untouched in that case.
@@ -243,6 +254,12 @@ impl Ssd {
                 let prev = m.relocate(lpn, new);
                 debug_assert_eq!(prev, Some(old));
             }
+            MappingState::Named(moves) => moves.push(Moved {
+                tag: lpn.0,
+                old,
+                new,
+                at: t,
+            }),
             _ => unreachable!("relocate_page only used by page-mapped FTLs"),
         }
         self.dir.invalidate(old);
@@ -253,10 +270,11 @@ impl Ssd {
 
     /// Read-disturb scrubbing: if the block holding `phys` has absorbed
     /// more reads than the configured threshold since its last erase,
-    /// relocate its live pages and erase it (page-mapped FTLs only).
+    /// relocate its live pages and erase it (page-mapped FTLs and
+    /// nameless devices only).
     pub(crate) fn maybe_scrub(&mut self, phys: PhysPage, t: SimTime) {
         let threshold = self.cfg.scrub_after_reads;
-        if threshold == 0 || !matches!(self.map, MappingState::Page(_) | MappingState::Dftl(_)) {
+        if threshold == 0 || !self.relocates_pages() {
             return;
         }
         if self.gc_gate.is_active() {

@@ -120,9 +120,19 @@ impl Scheduler {
         t
     }
 
-    pub(crate) fn trace_span(&mut self, lane: String, start: SimTime, end: SimTime, glyph: char) {
+    /// Record `[start, end)` on LUN `lun`'s Gantt lane (named after its
+    /// timeline, `chip{i}`). The lane name is only built when a trace is
+    /// being recorded: flash ops run this on every call.
+    pub(crate) fn trace_lun(&mut self, lun: usize, start: SimTime, end: SimTime, glyph: char) {
         if let Some(g) = self.trace.as_mut() {
-            g.record(lane, start, end, glyph, "");
+            g.record(self.lun_res[lun].name(), start, end, glyph, "");
+        }
+    }
+
+    /// Record `[start, end)` on channel `chan`'s Gantt lane (`chan{i}`).
+    pub(crate) fn trace_chan(&mut self, chan: usize, start: SimTime, end: SimTime, glyph: char) {
+        if let Some(g) = self.trace.as_mut() {
+            g.record(self.chan_res[chan].name(), start, end, glyph, "");
         }
     }
 
@@ -287,14 +297,12 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        self.sched
-            .trace_span(format!("chip{}", phys.lun.0), lg.start, lg.end, 'R');
+        self.sched.trace_lun(li, lg.start, lg.end, 'R');
         let (end, chan_wait) = if with_transfer {
             let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
             let xg = self.sched.chan_res[chan].reserve_tagged(lg.end, xfer, occ);
             self.sched.emit_chan_transfer_spans(chan, lg.end, xg);
-            self.sched
-                .trace_span(format!("chan{chan}"), xg.start, xg.end, 't');
+            self.sched.trace_chan(chan, xg.start, xg.end, 't');
             (xg.end, xg.start.since(lg.end))
         } else {
             (lg.end, SimDuration::ZERO)
@@ -341,7 +349,6 @@ impl Ssd {
         let t_read = self.cfg.flash.timing.read;
         let cmd = self.cfg.channel.command;
         let probe_on = self.sched.probe.is_enabled();
-        let lane = format!("chip{}", phys.lun.0);
 
         // the failed initial sense still occupied the LUN for a full tR,
         // under the original occupant
@@ -351,7 +358,7 @@ impl Ssd {
         self.metrics.flash_reads.bump(cause);
         self.sched
             .emit_flash_op_spans(chan, li, not_before, cmd_done, lg, Cause::CellRead);
-        self.sched.trace_span(lane.clone(), lg.start, lg.end, 'R');
+        self.sched.trace_lun(li, lg.start, lg.end, 'R');
 
         let mut cursor = lg.end;
         let mut steps = 0u32;
@@ -368,7 +375,7 @@ impl Ssd {
                 self.sched.lun_res[li].reserve_tagged(rung_cmd_done, t_read, Occupant::Recovery);
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, rung_cmd_done, g, Cause::Recovery);
-            self.sched.trace_span(lane.clone(), g.start, g.end, 'r');
+            self.sched.trace_lun(li, g.start, g.end, 'r');
             cursor = g.end;
             match self.luns[li].recovery_read(phys.addr, derate, 1.0) {
                 Ok(o) => {
@@ -400,7 +407,7 @@ impl Ssd {
             );
             self.sched
                 .emit_flash_op_spans(chan, li, cursor, esc_cmd_done, g, Cause::Recovery);
-            self.sched.trace_span(lane.clone(), g.start, g.end, 'e');
+            self.sched.trace_lun(li, g.start, g.end, 'e');
             cursor = g.end;
             match self.luns[li].recovery_read(
                 phys.addr,
@@ -483,8 +490,7 @@ impl Ssd {
             let xfer = self.cfg.channel.transfer(self.page_size()) + self.chan_hiccup_extra(chan);
             let xg = self.sched.chan_res[chan].reserve_tagged(cursor, xfer, occ);
             self.sched.emit_chan_transfer_spans(chan, cursor, xg);
-            self.sched
-                .trace_span(format!("chan{chan}"), xg.start, xg.end, 't');
+            self.sched.trace_chan(chan, xg.start, xg.end, 't');
             (xg.end, xg.start.since(cursor))
         } else {
             (cursor, SimDuration::ZERO)
@@ -518,8 +524,7 @@ impl Ssd {
                 self.cfg.channel.write_bus_time(self.page_size()) + self.chan_hiccup_extra(chan);
             let bus = self.sched.chan_res[chan].reserve_tagged(not_before, bus_time, occ);
             self.sched.emit_chan_transfer_spans(chan, not_before, bus);
-            self.sched
-                .trace_span(format!("chan{chan}"), bus.start, bus.end, 't');
+            self.sched.trace_chan(chan, bus.start, bus.end, 't');
             bus.end
         } else {
             not_before
@@ -544,8 +549,7 @@ impl Ssd {
         self.metrics.flash_programs.bump(cause);
         self.sched
             .emit_lun_op_spans(li, start, g, Cause::CellProgram);
-        self.sched
-            .trace_span(format!("chip{}", phys.lun.0), g.start, g.end, 'P');
+        self.sched.trace_lun(li, g.start, g.end, 'P');
         Ok(g.end)
     }
 
@@ -589,8 +593,7 @@ impl Ssd {
             self.metrics.recovery.erase_retirements += 1;
             self.dir.retire(lun, block_idx);
         } else {
-            self.sched
-                .trace_span(format!("chip{}", lun.0), g.start, g.end, 'E');
+            self.sched.trace_lun(li, g.start, g.end, 'E');
             self.dir.recycle(lun, block_idx);
         }
         Ok(g.end)

@@ -12,7 +12,7 @@
 use requiem_sim::time::SimTime;
 use requiem_sim::{Cause, Layer};
 
-use crate::addr::Lpn;
+use crate::addr::{Lpn, PhysPage};
 use crate::block_dir::Stream;
 use crate::buffer::WriteBuffer;
 use crate::device::{MappingState, Served, Ssd, SsdError};
@@ -111,20 +111,27 @@ impl Ssd {
                     .probe
                     .span(Layer::Buffer, Cause::BufferHit, "wbuf", start, start);
             }
-            let flush_end = {
+            let (_, flush_end) = {
                 let _bg = self.sched.probe.background();
                 self.flush_page(start, lpn)?
             };
             self.buffer.commit(lpn.0, flush_end);
             Ok((start, Served::Buffer))
         } else {
-            let end = self.flush_page(t0, lpn)?;
+            let (_, end) = self.flush_page(t0, lpn)?;
             Ok((end, Served::Flash))
         }
     }
 
-    /// Place + program one page and update the mapping.
-    pub(crate) fn flush_page(&mut self, t: SimTime, lpn: Lpn) -> Result<SimTime, SsdError> {
+    /// Place + program one page and update the mapping; returns where the
+    /// page went and when its program finished. A nameless device keeps
+    /// no map: the host drops the old version itself, so there is none
+    /// to invalidate here.
+    pub(crate) fn flush_page(
+        &mut self,
+        t: SimTime,
+        lpn: Lpn,
+    ) -> Result<(PhysPage, SimTime), SsdError> {
         let lun = self.place_lun(lpn, t);
         self.maybe_gc(lun, t);
         let (phys, end) = self.append_page(t, lun, Stream::Host, lpn, true, OpCause::Host)?;
@@ -139,12 +146,13 @@ impl Ssd {
                 self.exec_trans(t, &ios);
                 old
             }
+            MappingState::Named(_) => None,
             _ => unreachable!(),
         };
         if let Some(o) = old {
             self.dir.invalidate(o);
         }
         self.dir.mark_valid(phys, lpn);
-        Ok(end)
+        Ok((phys, end))
     }
 }

@@ -5,7 +5,11 @@
 //! [`Scheduler`]'s resource timelines, the block directory, the mapping
 //! state, and the policy objects — and exposes exactly the narrow waist
 //! the paper critiques: `read(lpn)`, `write(lpn)`, `trim(lpn)` on a flat
-//! logical address space. Every controller *decision* lives in the
+//! logical address space. A device built with [`Ssd::nameless`] instead
+//! speaks the §3 nameless vocabulary (`write_named` returns the physical
+//! name the controller chose; `read_named`/`free_named` take it back;
+//! `take_moves` reports relocations) on the very same controller. Every
+//! controller *decision* lives in the
 //! [`crate::controller`] module tree, one module per Figure-2 box:
 //!
 //! | Figure 2 box                 | Module                                  |
@@ -45,6 +49,7 @@
 
 use requiem_flash::{Lun, PagePayload};
 use requiem_sim::gantt::Gantt;
+use requiem_sim::probe::CommandScope;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Cause, IoStatus, Layer, Probe};
 
@@ -99,6 +104,13 @@ pub enum SsdError {
         /// What was requested.
         what: &'static str,
     },
+    /// A nameless command named a page that no longer holds its tag
+    /// (the page was relocated or freed); the host must apply the
+    /// pending relocations ([`Ssd::take_moves`]).
+    StaleName {
+        /// The stale physical name presented.
+        phys: PhysPage,
+    },
 }
 
 impl SsdError {
@@ -131,6 +143,11 @@ impl std::fmt::Display for SsdError {
             SsdError::Unsupported { what } => {
                 write!(f, "{what} unsupported under the active mapping scheme")
             }
+            SsdError::StaleName { phys } => write!(
+                f,
+                "stale name {:?} on lun {}; apply pending relocations",
+                phys.addr, phys.lun.0
+            ),
         }
     }
 }
@@ -181,6 +198,25 @@ pub(crate) enum MappingState {
     Dftl(DftlMap),
     Block(BlockMap),
     Hybrid(HybridState),
+    /// Nameless: the host holds every page's physical name, so the
+    /// controller keeps no map. Relocations (GC, salvage, rebuild) are
+    /// logged here for the host instead of remapped; see
+    /// [`Ssd::take_moves`].
+    Named(Vec<Moved>),
+}
+
+/// One relocation of a named page, logged for the host of a nameless
+/// device ([`Ssd::nameless`]) instead of being applied to a mapping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Moved {
+    /// The host tag the page was written with.
+    pub tag: u64,
+    /// The page's previous physical name.
+    pub old: PhysPage,
+    /// The page's new physical name.
+    pub new: PhysPage,
+    /// When the relocation was issued.
+    pub at: SimTime,
 }
 
 /// How one flash read fared in the controller's recovery pipeline.
@@ -273,20 +309,8 @@ impl Ssd {
     /// the [`crate::controller`] factories.
     pub fn new(cfg: SsdConfig) -> Self {
         let nluns = cfg.total_luns();
-        let geom = cfg.flash.geometry.clone();
-        let capacity = Capacity::derive(&cfg.shape, &geom, cfg.op_ratio);
-        let luns: Vec<Lun> = (0..nluns)
-            .map(|i| {
-                let mut lun = Lun::new(i, cfg.flash.clone(), cfg.seed);
-                lun.apply_faults(cfg.fault.unit_view(i));
-                lun
-            })
-            .collect();
-        let chan_hiccups: Vec<Vec<(u64, u64)>> = (0..cfg.shape.channels)
-            .map(|c| cfg.fault.channel_view(c))
-            .collect();
-        let sched = Scheduler::new(nluns, cfg.shape.channels);
-        let exported = capacity.exported_pages;
+        let geom = &cfg.flash.geometry;
+        let exported = Capacity::derive(&cfg.shape, geom, cfg.op_ratio).exported_pages;
         let page_size = geom.page_size;
         let ppb = geom.pages_per_block as u64;
         let map = match &cfg.ftl {
@@ -301,6 +325,33 @@ impl Ssd {
                 geom.pages_per_block,
             )),
         };
+        Self::with_map(cfg, map)
+    }
+
+    /// Build a nameless device: the same controller with no mapping
+    /// table. The host writes with [`Ssd::write_named`], keeps the
+    /// returned physical names, and applies the relocations it collects
+    /// with [`Ssd::take_moves`]. `cfg.ftl` is ignored; the write buffer
+    /// is never consulted.
+    pub fn nameless(cfg: SsdConfig) -> Self {
+        Self::with_map(cfg, MappingState::Named(Vec::new()))
+    }
+
+    fn with_map(cfg: SsdConfig, map: MappingState) -> Self {
+        let nluns = cfg.total_luns();
+        let geom = cfg.flash.geometry.clone();
+        let capacity = Capacity::derive(&cfg.shape, &geom, cfg.op_ratio);
+        let luns: Vec<Lun> = (0..nluns)
+            .map(|i| {
+                let mut lun = Lun::new(i, cfg.flash.clone(), cfg.seed);
+                lun.apply_faults(cfg.fault.unit_view(i));
+                lun
+            })
+            .collect();
+        let chan_hiccups: Vec<Vec<(u64, u64)>> = (0..cfg.shape.channels)
+            .map(|c| cfg.fault.channel_view(c))
+            .collect();
+        let sched = Scheduler::new(nluns, cfg.shape.channels);
         let buffer = crate::controller::buffer_policy_from(&cfg.buffer);
         let gc_policy = crate::controller::gc_policy_from(&cfg.gc);
         let wear_policy = crate::controller::wear_policy_from(&cfg.wl);
@@ -448,7 +499,11 @@ impl Ssd {
     }
 
     fn check_lpn(&self, lpn: Lpn) -> Result<(), SsdError> {
-        if lpn.0 < self.capacity.exported_pages {
+        if self.is_nameless() {
+            Err(SsdError::Unsupported {
+                what: "logical addressing",
+            })
+        } else if lpn.0 < self.capacity.exported_pages {
             Ok(())
         } else {
             Err(SsdError::LpnOutOfRange {
@@ -537,6 +592,21 @@ impl Ssd {
                 status: IoStatus::Ok,
             });
         };
+        self.read_flash(now, t1, lpn, phys, scope)
+    }
+
+    /// The flash leg of a host read, shared by [`Ssd::read`] and
+    /// [`Ssd::read_named`]: sense `phys` from `t1` (recovery pipeline
+    /// included), relocate a parity-rebuilt page, scrub, and return the
+    /// data over the host link.
+    fn read_flash(
+        &mut self,
+        now: SimTime,
+        t1: SimTime,
+        lpn: Lpn,
+        phys: PhysPage,
+        scope: CommandScope,
+    ) -> Result<Completion, SsdError> {
         let done = match self.op_read(t1, phys, true, OpCause::Host) {
             Ok(d) => d,
             Err(e) => {
@@ -579,7 +649,7 @@ impl Ssd {
     /// does not gate the host completion. Fixed-offset FTLs (block /
     /// hybrid) keep data in place; their offsets are immovable.
     fn relocate_after_rebuild(&mut self, lpn: Lpn, old: PhysPage, t: SimTime) {
-        if !matches!(self.map, MappingState::Page(_) | MappingState::Dftl(_)) {
+        if !self.relocates_pages() {
             return;
         }
         let _bg = self.sched.probe.background();
@@ -602,6 +672,12 @@ impl Ssd {
             MappingState::Dftl(m) => {
                 m.relocate(lpn, new);
             }
+            MappingState::Named(moves) => moves.push(Moved {
+                tag: lpn.0,
+                old,
+                new,
+                at: t,
+            }),
             // guarded above; no other mapping state reaches here
             _ => return,
         }
@@ -620,8 +696,9 @@ impl Ssd {
             MappingState::Page(m) => m.lookup(lpn),
             MappingState::Block(_) => self.resolve_read_block(lpn),
             MappingState::Hybrid(_) => self.resolve_read_hybrid(lpn),
-            // handled above; kept total so the match cannot panic
-            MappingState::Dftl(_) => None,
+            // handled above (DFTL) or refused by `check_lpn` (nameless);
+            // kept total so the match cannot panic
+            MappingState::Dftl(_) | MappingState::Named(_) => None,
         };
         (phys, t0)
     }
@@ -647,6 +724,27 @@ impl Ssd {
     pub fn write(&mut self, now: SimTime, lpn: Lpn) -> Result<Completion, SsdError> {
         self.check_lpn(lpn)?;
         self.note_submit(now);
+        self.host_write(now, |ssd, t0| {
+            let (end, served) = match ssd.cfg.ftl.clone() {
+                FtlKind::PageMap | FtlKind::Dftl { .. } => ssd.write_page_mapped(t0, lpn)?,
+                FtlKind::BlockMap => (ssd.write_block_mapped(t0, lpn)?, Served::Flash),
+                FtlKind::Hybrid { .. } => (ssd.write_hybrid(t0, lpn)?, Served::Flash),
+            };
+            Ok((end, served, ()))
+        })
+        .map(|(completion, ())| completion)
+    }
+
+    /// The frame of a host write, shared by [`Ssd::write`] and
+    /// [`Ssd::write_named`]: data in over the host link, controller
+    /// overhead, then `body` from the instant the controller has the
+    /// data. A program salvage on the critical path makes the status
+    /// `RecoveredAfterRetry`.
+    fn host_write<T>(
+        &mut self,
+        now: SimTime,
+        body: impl FnOnce(&mut Self, SimTime) -> Result<(SimTime, Served, T), SsdError>,
+    ) -> Result<(Completion, T), SsdError> {
         self.metrics.host_writes += 1;
         let scope = self.sched.probe.open_command("write", now);
         let link = self.sched.host_link.reserve(now, self.cfg.host_link_time());
@@ -654,12 +752,7 @@ impl Ssd {
         let t0 = link.end + self.cfg.controller_overhead;
         self.span_overhead(link.end, t0);
         let salvages_before = self.metrics.recovery.program_salvages;
-        let written = match self.cfg.ftl.clone() {
-            FtlKind::PageMap | FtlKind::Dftl { .. } => self.write_page_mapped(t0, lpn),
-            FtlKind::BlockMap => self.write_block_mapped(t0, lpn).map(|d| (d, Served::Flash)),
-            FtlKind::Hybrid { .. } => self.write_hybrid(t0, lpn).map(|d| (d, Served::Flash)),
-        };
-        let (done, served) = match written {
+        let (done, served, out) = match body(self, t0) {
             Ok(v) => v,
             Err(e) => {
                 scope.abort();
@@ -678,12 +771,13 @@ impl Ssd {
         self.metrics.write_latency.record_duration(latency);
         self.sched.probe.note_status(status.as_str());
         scope.close(done);
-        Ok(Completion {
+        let completion = Completion {
             done,
             latency,
             served,
             status,
-        })
+        };
+        Ok((completion, out))
     }
 
     /// Snapshot of the logical→physical mapping (diagnostics; page-mapped
@@ -748,6 +842,114 @@ impl Ssd {
         }
         if let Some(old) = old {
             self.dir.invalidate(old);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // nameless host API (devices built with `Ssd::nameless`)
+    // ------------------------------------------------------------------
+
+    fn is_nameless(&self) -> bool {
+        matches!(self.map, MappingState::Named(_))
+    }
+
+    /// Refuse a nameless command on a logically addressed device (and
+    /// the reverse, in [`Ssd::check_lpn`]): the two naming schemes
+    /// never mix on one device.
+    fn check_named(&self) -> Result<(), SsdError> {
+        if self.is_nameless() {
+            Ok(())
+        } else {
+            Err(SsdError::Unsupported {
+                what: "nameless addressing",
+            })
+        }
+    }
+
+    /// The host tag whose live data `phys` holds, if any.
+    pub fn owner(&self, phys: PhysPage) -> Option<Lpn> {
+        let geom = &self.cfg.flash.geometry;
+        let block = geom.block_index(geom.block_of(phys.addr));
+        self.dir
+            .block_info(phys.lun, block)
+            .backptrs
+            .get(phys.addr.page as usize)
+            .copied()
+            .flatten()
+    }
+
+    /// Nameless write: the controller places and programs one page
+    /// tagged `tag` and returns the physical name it chose. The same
+    /// placement, GC and salvage as [`Ssd::write`]; no write buffer.
+    pub fn write_named(
+        &mut self,
+        now: SimTime,
+        tag: u64,
+    ) -> Result<(PhysPage, Completion), SsdError> {
+        self.check_named()?;
+        self.host_write(now, |ssd, t0| {
+            let (phys, end) = ssd.flush_page(t0, Lpn(tag))?;
+            Ok((end, Served::Flash, phys))
+        })
+        .map(|(completion, phys)| (phys, completion))
+    }
+
+    /// Nameless read of `phys`, which must still hold `tag`'s data
+    /// ([`SsdError::StaleName`] otherwise; the refused read still counts
+    /// as a host read). A parity-rebuilt page is relocated and the move
+    /// logged for [`Ssd::take_moves`].
+    pub fn read_named(
+        &mut self,
+        now: SimTime,
+        phys: PhysPage,
+        tag: u64,
+    ) -> Result<Completion, SsdError> {
+        self.check_named()?;
+        self.metrics.host_reads += 1;
+        if self.owner(phys) != Some(Lpn(tag)) {
+            return Err(SsdError::StaleName { phys });
+        }
+        let scope = self.sched.probe.open_command("read", now);
+        let t1 = now + self.cfg.controller_overhead;
+        self.span_overhead(now, t1);
+        self.read_flash(now, t1, Lpn(tag), phys, scope)
+    }
+
+    /// Nameless free (the trim analog, exact because the host names the
+    /// physical page): invalidate `phys`, which must still hold `tag`'s
+    /// data ([`SsdError::StaleName`] otherwise; the refused free still
+    /// counts as a host trim).
+    pub fn free_named(
+        &mut self,
+        now: SimTime,
+        phys: PhysPage,
+        tag: u64,
+    ) -> Result<Completion, SsdError> {
+        self.check_named()?;
+        self.metrics.host_trims += 1;
+        if self.owner(phys) != Some(Lpn(tag)) {
+            return Err(SsdError::StaleName { phys });
+        }
+        self.dir.invalidate(phys);
+        let scope = self.sched.probe.open_command("free", now);
+        let done = now + self.cfg.controller_overhead;
+        self.span_overhead(now, done);
+        scope.close(done);
+        Ok(Completion {
+            done,
+            latency: done.since(now),
+            served: Served::Controller,
+            status: IoStatus::Ok,
+        })
+    }
+
+    /// Take the relocations logged since the last call (empty unless the
+    /// device was built with [`Ssd::nameless`]): the host must re-point
+    /// each `tag` from `old` to `new`.
+    pub fn take_moves(&mut self) -> Vec<Moved> {
+        match &mut self.map {
+            MappingState::Named(moves) => std::mem::take(moves),
+            _ => Vec::new(),
         }
     }
 }

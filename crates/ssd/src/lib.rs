@@ -7,7 +7,9 @@
 //!   **channels** with realistic bus timing ([`channel::ChannelTiming`]);
 //! * a controller with pluggable **FTLs** — full page mapping, pre-2009
 //!   block mapping, BAST-style hybrid log blocks, and DFTL (the paper's
-//!   ref [10]) — see [`config::FtlKind`];
+//!   ref [10]) — see [`config::FtlKind`] — and a nameless mode with no
+//!   mapping at all ([`Ssd::nameless`]: the host holds physical names
+//!   and is told of every relocation);
 //! * **garbage collection** (greedy / cost-benefit) and **wear leveling**
 //!   (dynamic + optional static), whose traffic contends with host I/O on
 //!   the same channel/LUN resources;

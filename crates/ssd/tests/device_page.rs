@@ -55,6 +55,25 @@ fn out_of_range_lpn_rejected() {
 }
 
 #[test]
+fn naming_schemes_never_mix_on_one_device() {
+    let mut named = Ssd::nameless(modern_unbuffered());
+    let err = named.write(SimTime::ZERO, Lpn(0)).unwrap_err();
+    assert!(matches!(err, SsdError::Unsupported { .. }));
+    let (phys, w) = named.write_named(SimTime::ZERO, 9).unwrap();
+    assert_eq!(named.owner(phys), Some(Lpn(9)));
+    // a stale tag is refused but still counts as a host read
+    let err = named.read_named(w.done, phys, 8).unwrap_err();
+    assert_eq!(err, SsdError::StaleName { phys });
+    assert_eq!(named.metrics().host_reads, 1);
+    named.free_named(w.done, phys, 9).unwrap();
+    assert_eq!(named.owner(phys), None);
+    let mut logical = Ssd::new(modern_unbuffered());
+    let err = logical.write_named(SimTime::ZERO, 9).unwrap_err();
+    assert!(matches!(err, SsdError::Unsupported { .. }));
+    assert!(logical.read_named(SimTime::ZERO, phys, 9).is_err());
+}
+
+#[test]
 fn buffered_write_completes_before_flash_program() {
     let mut buffered = Ssd::new(SsdConfig::modern());
     let mut unbuffered = Ssd::new(modern_unbuffered());

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Drift gate for the checked-in experiment snapshots.
 
-Each experiment binary ends its stdout with a ```json block. This script
-runs each binary twice at its full preset, requires the two stdouts to be
-byte-identical (the determinism check), extracts the trailing block, and
+Each gated experiment binary prints ```json blocks. This script runs each
+binary twice at its full preset, requires the two stdouts to be
+byte-identical (the determinism check), extracts the last block, and
 compares it with the matching BENCH_exp*.json. Keys starting with `_`
 (`_regenerate`, the wall-clock `_perf`) are ignored at every level: the
 rest is simulated and deterministic, so any difference means a number
@@ -17,8 +17,10 @@ Usage:
                                            # re-timed (best of 3)
 
 Binaries are read from target/release; build them first with
-    cargo build --release -p requiem-bench --bin exp6_atomic --bin exp7_synergy \\
-        --bin exp8_nameless --bin exp13_db_qd_sweep --bin exp14_cooperating_logs --bin exp15_pcm_wal --bin exp17_shard_sweep
+    cargo build --release -p requiem-bench --bin exp1_figure1 --bin exp4_myth3 \\
+        --bin exp6_atomic --bin exp7_synergy --bin exp8_nameless --bin exp11_qd_sweep \\
+        --bin exp12_fault_sweep --bin exp13_db_qd_sweep --bin exp14_cooperating_logs \\
+        --bin exp15_pcm_wal --bin exp17_shard_sweep
 """
 
 import argparse
@@ -33,9 +35,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # snapshot key -> binary
 GATED = {
+    "exp1": "exp1_figure1",
+    "exp4": "exp4_myth3",
     "exp6": "exp6_atomic",
     "exp7": "exp7_synergy",
     "exp8": "exp8_nameless",
+    "exp11": "exp11_qd_sweep",
+    "exp12": "exp12_fault_sweep",
     "exp13": "exp13_db_qd_sweep",
     "exp14": "exp14_cooperating_logs",
     "exp15": "exp15_pcm_wal",

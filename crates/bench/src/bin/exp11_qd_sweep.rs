@@ -18,7 +18,7 @@ use requiem_bench::{note, section};
 use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, Ssd, SsdConfig};
+use requiem_ssd::{Ssd, SsdConfig};
 use requiem_workload::driver::{
     precondition_sequential, run_closed_loop, run_closed_loop_serialized, DriverReport, IoMix,
 };
@@ -28,20 +28,6 @@ const OPS: u64 = 512;
 const SPAN: u64 = 512;
 const SEED: u64 = 11;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
-
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 struct SweepPoint {
     qd: usize,
@@ -53,7 +39,7 @@ struct SweepPoint {
 /// One closed-loop run at `qd`, with busy-time deltas over the measured
 /// window so utilization excludes the preconditioning phase.
 fn run_point(mix: IoMix, qd: usize, probe: Option<&Probe>) -> SweepPoint {
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     let t0 = if mix.read_fraction > 0.5 {
         precondition_sequential(&mut ssd, SPAN, SimTime::ZERO)
     } else {
@@ -224,11 +210,11 @@ fn main() {
         ("reads", IoMix::read_only()),
         ("writes", IoMix::write_only()),
     ] {
-        let mut a = Ssd::new(figure1_device());
+        let mut a = Ssd::new(SsdConfig::figure1());
         let ta = precondition_sequential(&mut a, SPAN, SimTime::ZERO);
         let mut pa = AddressPattern::new(Pattern::Sequential, SPAN, SEED);
         let ra = run_closed_loop_serialized(&mut a, &mut pa, mix, 1, OPS, SEED, ta);
-        let mut b = Ssd::new(figure1_device());
+        let mut b = Ssd::new(SsdConfig::figure1());
         let tb = precondition_sequential(&mut b, SPAN, SimTime::ZERO);
         let mut pb = AddressPattern::new(Pattern::Sequential, SPAN, SEED);
         let rb = run_closed_loop(&mut b, &mut pb, mix, 1, OPS, SEED, tb);

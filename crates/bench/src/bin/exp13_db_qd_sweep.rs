@@ -34,7 +34,7 @@ use requiem_db::{
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
 use requiem_sim::{Histogram, Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_ssd::SsdConfig;
 use requiem_workload::oltp::{OltpConfig, OltpGen};
 use requiem_workload::{oltp_inputs, run_oltp_closed_loop};
 
@@ -44,23 +44,6 @@ const DATA_PAGES: u64 = 1024;
 const LOG_PAGES: u64 = 512;
 const BUFFER_FRAMES: usize = 512;
 const QDS: [usize; 5] = [1, 2, 4, 8, 16];
-
-/// The E11 device: four chips behind one shared ONFI-2 channel, no
-/// device-side buffer — every unit of parallelism the DB extracts must
-/// come from keeping independent commands in flight.
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 /// Every section shares this builder: the knobs that must agree (pages,
 /// frames, WAL medium) are stated once.
@@ -73,7 +56,7 @@ fn builder() -> DbBuilder {
 
 /// One executor over the block stack: the coordinator with one shard.
 fn stack_db() -> ShardedDb<BlockStackBackend> {
-    builder().build_sharded_stack(StackConfig::blk_mq(1), figure1_device())
+    builder().build_sharded_stack(StackConfig::blk_mq(1), SsdConfig::figure1())
 }
 
 fn oltp(read_only_fraction: f64) -> OltpGen {
@@ -357,12 +340,12 @@ fn main() {
     section("13d. QD 1: completion-driven executor vs serialized engine");
     let inputs = oltp_inputs(&mut oltp(0.5), 200);
     let mut serial: Database<BlockStackBackend> =
-        builder().build_stack(StackConfig::bare(1), figure1_device());
+        builder().build_stack(StackConfig::bare(1), SsdConfig::figure1());
     for t in &inputs {
         serial.execute(&t.accesses, t.log_bytes);
     }
     let mut one = ShardedDb::new(
-        vec![builder().build_stack(StackConfig::bare(1), figure1_device())],
+        vec![builder().build_stack(StackConfig::bare(1), SsdConfig::figure1())],
         DATA_PAGES,
     );
     one.run(&inputs, &ExecConfig::serialized());

@@ -37,7 +37,7 @@ use requiem_sim::probe::{Cause, Layer};
 use requiem_sim::table::Align;
 use requiem_sim::time::SimDuration;
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_ssd::SsdConfig;
 use requiem_workload::sharded::{ShardedOltpConfig, ShardedOltpGen};
 use requiem_workload::txn_to_input;
 
@@ -52,23 +52,6 @@ const CLIENTS: u64 = 1 << 20;
 const SHARDS: [usize; 4] = [1, 2, 4, 8];
 const QDS: [usize; 4] = [1, 2, 4, 8];
 const CROSS: f64 = 0.10;
-
-/// The E11/E13 device: four chips behind one shared ONFI-2 channel.
-/// Every shard submits into the same channel — the knee this sweep
-/// hunts for is that channel running out of idle cycles.
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 fn builder(shards: usize, cross: f64) -> DbBuilder {
     DbConfig::builder()
@@ -112,7 +95,7 @@ struct SweepPoint {
 fn run_point(shards: usize, qd: usize, cross: f64, txns: u64) -> SweepPoint {
     let mut db: ShardedDb<BlockStackBackend> = builder(shards, cross).build_sharded_stack(
         requiem_block::StackConfig::blk_mq(shards as u32),
-        figure1_device(),
+        SsdConfig::figure1(),
     );
     let probe = Probe::new();
     db.shard_mut(0).attach_probe(probe.clone());
@@ -303,12 +286,12 @@ fn main() {
     section("17d. QD 1 x 1 shard vs the serialized engine");
     let ident_inputs = inputs(1, 0.0, 200.min(txns));
     let mut serial: Database<BlockStackBackend> =
-        builder(1, 0.0).build_stack(requiem_block::StackConfig::blk_mq(1), figure1_device());
+        builder(1, 0.0).build_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1());
     for t in &ident_inputs {
         serial.execute(&t.accesses, t.log_bytes);
     }
     let mut sharded: ShardedDb<BlockStackBackend> = builder(1, 0.0)
-        .build_sharded_stack(requiem_block::StackConfig::blk_mq(1), figure1_device());
+        .build_sharded_stack(requiem_block::StackConfig::blk_mq(1), SsdConfig::figure1());
     sharded.run(&ident_inputs, &ExecConfig::serialized());
     let shard0 = sharded.shard(0);
     let identical = shard0.now() == serial.now()

@@ -12,25 +12,9 @@ use requiem_bench::{note, section};
 use requiem_sim::table::Align;
 use requiem_sim::time::{SimDuration, SimTime};
 use requiem_sim::{Probe, Table};
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Lpn, Placement, Ssd, SsdConfig};
+use requiem_ssd::{Lpn, Ssd, SsdConfig};
 use requiem_workload::driver::{run_closed_loop, IoMix};
 use requiem_workload::pattern::{AddressPattern, Pattern};
-
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        // ONFI-2-class bus: a page transfer (~100 µs) is comparable to a
-        // page read (50 µs) — the regime the paper's figure depicts
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
 
 /// Utilization of channel / mean chips over a window, from busy deltas.
 fn window_utils(
@@ -64,7 +48,7 @@ fn main() {
 
     // ---- four parallel writes (chip-bound) ----
     section("Four parallel writes");
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     let wr_probe = Probe::new();
     ssd.attach_probe(wr_probe.clone());
     ssd.enable_trace();
@@ -80,7 +64,7 @@ fn main() {
 
     // ---- four parallel reads (channel-bound) ----
     section("Four parallel reads");
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     // place one page on each chip, quiesce, then read them back together
     let mut t = SimTime::ZERO;
     for lpn in 0..4u64 {
@@ -143,7 +127,7 @@ fn main() {
     let mut tbl = Table::new(["workload", "IOPS", "MB/s", "channel util", "mean chip util"])
         .align(0, Align::Left);
     // reads
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     let mut t = SimTime::ZERO;
     for lpn in 0..512u64 {
         t = ssd.write(t, Lpn(lpn)).expect("precondition").done;
@@ -163,7 +147,7 @@ fn main() {
         format!("{:.0}%", lu * 100.0),
     ]);
     // writes
-    let mut ssd = Ssd::new(figure1_device());
+    let mut ssd = Ssd::new(SsdConfig::figure1());
     let chan_b = ssd.channel_busy_time();
     let lun_b = ssd.lun_busy_time();
     let mut pat = AddressPattern::new(Pattern::Sequential, 2048, 2);

@@ -30,7 +30,7 @@ use std::rc::Rc;
 use requiem_iface::atomic::ExtendedSsd;
 use requiem_pcm::{PcmDimm, PcmTiming};
 use requiem_sim::time::SimTime;
-use requiem_sim::IoStatus;
+use requiem_sim::{IoStatus, Probe};
 use requiem_ssd::{IoRequest, Lpn, QueuePair, Ssd, SsdConfig};
 
 use crate::page::{PageId, PAGE_SIZE};
@@ -121,6 +121,111 @@ impl ReadShim {
     }
 }
 
+/// The batched-read path of a manager that drives its device's
+/// [`QueuePair`] itself ([`VisionBackend`], and the cooperating-logs
+/// manager on a nameless device): the queue pair, the reads refused
+/// before they reached it, and the engine-tag counter. Each read rides
+/// the queue pair as an [`IoRequest`] whose `lba` is the page id (the
+/// hazard key) and whose tag is the engine's.
+#[derive(Debug)]
+pub(crate) struct ReadQueue {
+    qp: QueuePair,
+    /// Refused reads, completed at submit with [`IoStatus::Rejected`].
+    rejects: Vec<PageRead>,
+    next_tag: u64,
+}
+
+impl ReadQueue {
+    /// A queue at depth 1 (the serialized path).
+    pub(crate) fn new() -> Self {
+        ReadQueue {
+            qp: QueuePair::new(1),
+            rejects: Vec::new(),
+            next_tag: 0,
+        }
+    }
+
+    /// The next engine tag.
+    pub(crate) fn tag(&mut self) -> CommandTag {
+        self.next_tag += 1;
+        CommandTag(self.next_tag)
+    }
+
+    /// Queue read `tag` of `page` at `now`; `serve(admit)` does the
+    /// device work. A read `serve` refuses with `Err` completes at
+    /// `now` with [`IoStatus::Rejected`].
+    pub(crate) fn submit<E>(
+        &mut self,
+        probe: &Probe,
+        now: SimTime,
+        tag: CommandTag,
+        page: PageId,
+        serve: impl FnOnce(SimTime) -> Result<(SimTime, IoStatus), E>,
+    ) {
+        let req = IoRequest::read(page.0).tag(tag);
+        if self.qp.submit_with(probe, now, req, serve).is_err() {
+            self.refuse(now, tag, page);
+        }
+    }
+
+    /// Complete read `tag` of `page` at `now` with
+    /// [`IoStatus::Rejected`] without queueing it.
+    pub(crate) fn refuse(&mut self, now: SimTime, tag: CommandTag, page: PageId) {
+        self.rejects.push(PageRead {
+            tag,
+            page,
+            done: now,
+            status: IoStatus::Rejected,
+        });
+    }
+
+    /// Refused reads, then the device completions ready at `now`. Each
+    /// device completion goes to `retry` first, which returns true when
+    /// it resubmitted the read instead of surfacing it.
+    pub(crate) fn poll(
+        &mut self,
+        now: SimTime,
+        mut retry: impl FnMut(&mut ReadQueue, &PageRead) -> bool,
+    ) -> Vec<PageRead> {
+        let mut out = std::mem::take(&mut self.rejects);
+        for c in self.qp.poll(now) {
+            let r = PageRead {
+                tag: c.tag,
+                page: PageId(c.lba),
+                done: c.done,
+                status: c.status,
+            };
+            if !retry(self, &r) {
+                out.push(r);
+            }
+        }
+        out
+    }
+
+    /// [`PersistenceBackend::next_read_done`].
+    pub(crate) fn next_done(&self) -> Option<SimTime> {
+        self.rejects
+            .iter()
+            .map(|r| r.done)
+            .chain(self.qp.next_done())
+            .min()
+    }
+
+    /// [`PersistenceBackend::reads_in_flight`].
+    pub(crate) fn in_flight(&self) -> usize {
+        self.rejects.len() + self.qp.pending()
+    }
+
+    /// [`PersistenceBackend::set_read_window`].
+    pub(crate) fn set_window(&mut self, depth: usize) {
+        debug_assert!(
+            self.qp.pending() == 0 && self.rejects.is_empty(),
+            "window change with reads in flight"
+        );
+        self.qp = QueuePair::new(depth.max(1));
+    }
+}
+
 /// Page I/O issued by a backend, by class. Log-path counters live in
 /// [`WalStats`](crate::walbackend::WalStats) since the API split.
 #[derive(Debug, Default, Clone)]
@@ -186,7 +291,7 @@ pub trait PersistenceBackend {
     /// Short label for reports.
     fn label(&self) -> &'static str;
 
-    /// Attach a cross-layer [`Probe`](requiem_sim::Probe) so the devices
+    /// Attach a cross-layer [`Probe`] so the devices
     /// underneath decompose the storage manager's I/O into spans.
     /// Backends without an instrumented device ignore it.
     fn attach_probe(&mut self, probe: requiem_sim::Probe) {
@@ -298,12 +403,8 @@ pub struct VisionBackend {
     staging_slots: u64,
     staging_next: u64,
     stats: BackendStats,
-    /// Queue pair for the batched read path (over the inner flash SSD).
-    qp: QueuePair,
-    /// Refused reads, completed at submit with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace for batched reads.
-    next_tag: u64,
+    /// The batched read path (over the inner flash SSD).
+    reads: ReadQueue,
 }
 
 impl std::fmt::Debug for VisionBackend {
@@ -341,9 +442,7 @@ impl VisionBackend {
             staging_slots: staging_bytes / PAGE_SIZE as u64,
             staging_next: 0,
             stats: BackendStats::default(),
-            qp: QueuePair::new(1),
-            rejects: Vec::new(),
-            next_tag: 0,
+            reads: ReadQueue::new(),
         }
     }
 
@@ -445,56 +544,36 @@ impl PersistenceBackend for VisionBackend {
     }
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
+        let probe = self.flash.inner().probe().clone();
         pages
             .iter()
             .map(|&p| {
                 self.stats.page_reads += 1;
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
+                let tag = self.reads.tag();
                 let lpn = self.data_lpn(p);
-                let req = IoRequest::read(lpn.0).tag(tag);
-                if self.qp.submit(self.flash.inner_mut(), now, req).is_err() {
-                    self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    });
-                }
+                let ssd = self.flash.inner_mut();
+                self.reads.submit(&probe, now, tag, p, |at| {
+                    ssd.read(at, lpn).map(|c| (c.done, c.status))
+                });
                 tag
             })
             .collect()
     }
 
     fn poll(&mut self, now: SimTime) -> Vec<PageRead> {
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        out.extend(self.qp.poll(now).into_iter().map(|c| PageRead {
-            tag: c.tag,
-            page: PageId(c.lba),
-            done: c.done,
-            status: c.status,
-        }));
-        out
+        self.reads.poll(now, |_, _| false)
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.reads.next_done()
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.rejects.len() + self.qp.pending()
+        self.reads.in_flight()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.qp.pending() == 0 && self.rejects.is_empty(),
-            "window change with reads in flight"
-        );
-        self.qp = QueuePair::new(depth.max(1));
+        self.reads.set_window(depth);
     }
 }
 

@@ -29,23 +29,22 @@
 //!   RAM is the commit point, then the old names are freed. 1× the I/O
 //!   of the double-write journal's 2×.
 //!
-//! Reads at queue depth ride a [`NamelessQueuePair`]; a read that loses
-//! the race with a migration comes back [`IoStatus::Rejected`], is
+//! Reads at queue depth ride the same [`requiem_ssd::QueuePair`] as the
+//! block managers' reads, keyed by page id instead of LBA; a read that
+//! loses the race with a migration comes back [`IoStatus::Rejected`], is
 //! patched from the upcall stream, and is resubmitted at its completion
 //! instant — the retry is visible in [`CoopLogBackend::read_retries`],
 //! never a panic.
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use requiem_iface::nameless::{NamelessConfig, NamelessError, NamelessSsd, PhysName};
-use requiem_iface::qpair::{NamelessCmd, NamelessQueuePair};
 use requiem_iface::Upcall;
 use requiem_sim::time::SimTime;
 use requiem_sim::IoStatus;
 
-use crate::backend::{BackendStats, CommandTag, PageRead, PersistenceBackend};
+use crate::backend::{BackendStats, CommandTag, PageRead, PersistenceBackend, ReadQueue};
 use crate::page::PageId;
 use crate::pagetable::PageTable;
 use crate::walbackend::{FlashWal, LogDevice, WalBackend};
@@ -138,15 +137,9 @@ pub struct CoopLogBackend {
     /// Absolute WAL segment index → current name (shared likewise).
     segs: Rc<RefCell<PageTable<PhysName>>>,
     stats: BackendStats,
-    /// Queue pair for the batched read path.
-    qp: NamelessQueuePair,
-    /// Batched reads in flight: queue-pair command id → (engine tag, page).
-    inflight: BTreeMap<u64, (CommandTag, PageId)>,
-    /// Reads refused before reaching the device (no binding), completed
-    /// at submit with [`IoStatus::Rejected`].
-    rejects: Vec<PageRead>,
-    /// Tag namespace for batched reads.
-    next_tag: u64,
+    /// The batched read path; a page with no binding is refused before
+    /// it reaches the queue pair.
+    reads: ReadQueue,
     /// Writes the device refused (full); the superseded version is kept.
     /// Shared with the WAL port so the count covers both paths.
     rejected: Rc<Cell<u64>>,
@@ -187,10 +180,7 @@ impl CoopLogBackend {
             table: Rc::new(RefCell::new(PageTable::new())),
             segs: Rc::new(RefCell::new(PageTable::new())),
             stats: BackendStats::default(),
-            qp: NamelessQueuePair::new(1),
-            inflight: BTreeMap::new(),
-            rejects: Vec::new(),
-            next_tag: 0,
+            reads: ReadQueue::new(),
             rejected: Rc::new(Cell::new(0)),
             read_retries: 0,
         }
@@ -523,28 +513,18 @@ impl PersistenceBackend for CoopLogBackend {
 
     fn submit_reads(&mut self, now: SimTime, pages: &[PageId]) -> Vec<CommandTag> {
         self.drain_upcalls();
+        let probe = self.dev.borrow().probe().clone();
         pages
             .iter()
             .map(|&p| {
                 self.check_page(p);
                 self.stats.page_reads += 1;
-                self.next_tag += 1;
-                let tag = CommandTag(self.next_tag);
+                let tag = self.reads.tag();
                 match self.table.borrow().lookup(p.0) {
-                    Some(name) => {
-                        let id = self.qp.submit(
-                            &mut self.dev.borrow_mut(),
-                            now,
-                            NamelessCmd::Read { name, tag: p.0 },
-                        );
-                        self.inflight.insert(id.0, (tag, p));
-                    }
-                    None => self.rejects.push(PageRead {
-                        tag,
-                        page: p,
-                        done: now,
-                        status: IoStatus::Rejected,
-                    }),
+                    Some(name) => self
+                        .reads
+                        .submit(&probe, now, tag, p, |at| serve_read(&self.dev, at, name, p)),
+                    None => self.reads.refuse(now, tag, p),
                 }
                 tag
             })
@@ -557,55 +537,53 @@ impl PersistenceBackend for CoopLogBackend {
         // is interpreted, so a Rejected read can be retried at the
         // page's *current* name
         self.drain_upcalls();
-        let mut out: Vec<PageRead> = std::mem::take(&mut self.rejects);
-        for c in self.qp.poll(now) {
-            let Some((tag, page)) = self.inflight.remove(&c.id.0) else {
-                continue;
-            };
-            if c.status == IoStatus::Rejected {
-                if let Some(name) = self.table.borrow().lookup(page.0) {
-                    // lost the race with a migration: resubmit at the
-                    // patched name, completing later — never silently
-                    // dropping the engine's tag
-                    let id = self.qp.submit(
-                        &mut self.dev.borrow_mut(),
-                        c.done,
-                        NamelessCmd::Read { name, tag: page.0 },
-                    );
-                    self.inflight.insert(id.0, (tag, page));
-                    self.read_retries += 1;
-                    continue;
-                }
+        let probe = self.dev.borrow().probe().clone();
+        let (dev, table, retries) = (&self.dev, &self.table, &mut self.read_retries);
+        self.reads.poll(now, |reads, r| {
+            if r.status != IoStatus::Rejected {
+                return false;
             }
-            out.push(PageRead {
-                tag,
-                page,
-                done: c.done,
-                status: c.status,
+            let Some(name) = table.borrow().lookup(r.page.0) else {
+                return false;
+            };
+            // lost the race with a migration: resubmit at the patched
+            // name, completing later — never silently dropping the
+            // engine's tag
+            reads.submit(&probe, r.done, r.tag, r.page, |at| {
+                serve_read(dev, at, name, r.page)
             });
-        }
-        out
+            *retries += 1;
+            true
+        })
     }
 
     fn next_read_done(&mut self) -> Option<SimTime> {
-        let r = self.rejects.iter().map(|r| r.done).min();
-        match (r, self.qp.next_done()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.reads.next_done()
     }
 
     fn reads_in_flight(&mut self) -> usize {
-        self.rejects.len() + self.qp.pending()
+        self.reads.in_flight()
     }
 
     fn set_read_window(&mut self, depth: usize) {
-        debug_assert!(
-            self.qp.pending() == 0 && self.rejects.is_empty(),
-            "window change with reads in flight"
-        );
-        self.qp = NamelessQueuePair::new(depth.max(1));
+        self.reads.set_window(depth);
     }
+}
+
+/// Serve one queued read of `page` at `name`. A refusal (a stale name:
+/// the page migrated or was freed after the lookup) completes at
+/// admission with [`IoStatus::Rejected`], holding its window slot until
+/// then, for [`CoopLogBackend`]'s poll to retry.
+fn serve_read(
+    dev: &RefCell<NamelessSsd>,
+    at: SimTime,
+    name: PhysName,
+    page: PageId,
+) -> Result<(SimTime, IoStatus), NamelessError> {
+    Ok(match dev.borrow_mut().read(at, name, page.0) {
+        Ok((done, _lat, status)) => (done, status),
+        Err(_) => (at, IoStatus::Rejected),
+    })
 }
 
 #[cfg(test)]
@@ -754,6 +732,40 @@ mod tests {
         let mut seen: Vec<u64> = got.iter().map(|r| r.page.0).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn read_that_loses_a_migration_race_is_retried_once() {
+        // one LUN that scrubs a block after a single read: page 0's read
+        // relocates its block, so page 1's queued read (admitted with the
+        // old name) completes Rejected and is resubmitted at the new one
+        let mut cfg = SsdConfig::modern();
+        cfg.shape.channels = 1;
+        cfg.shape.chips_per_channel = 1;
+        cfg.buffer.capacity_pages = 0;
+        cfg.scrub_after_reads = 1;
+        let ppb = cfg.flash.geometry.pages_per_block as u64;
+        let mut b = CoopLogBackend::new(NamelessConfig::from(&cfg), 4 * ppb, 16);
+        let mut t = SimTime::ZERO;
+        for p in 0..2 * ppb {
+            t = b.page_write(t, PageId(p));
+        }
+        b.set_read_window(4);
+        let tags = b.submit_reads(t, &[PageId(0), PageId(1)]);
+        let mut got = Vec::new();
+        while b.reads_in_flight() > 0 {
+            let next = b.next_read_done().expect("reads in flight have a finish");
+            got.extend(b.poll(next));
+            assert!(got.len() <= tags.len(), "a tag came back twice");
+        }
+        assert_eq!(b.read_retries(), 1);
+        assert!(b.dev().metrics().scrubs > 0, "the first read scrubbed");
+        let mut back: Vec<CommandTag> = got.iter().map(|r| r.tag).collect();
+        back.sort_unstable();
+        assert_eq!(back, tags, "both tags came back exactly once");
+        for r in &got {
+            assert_eq!(r.status, IoStatus::Ok, "page {:?}", r.page);
+        }
     }
 
     #[test]

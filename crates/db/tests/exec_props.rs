@@ -26,7 +26,7 @@ use requiem_db::{
 use requiem_iface::nameless::NamelessConfig;
 use requiem_pcm::PcmTiming;
 use requiem_sim::SimRng;
-use requiem_ssd::{ArrayShape, BufferConfig, ChannelTiming, Placement, SsdConfig};
+use requiem_ssd::SsdConfig;
 
 const DATA_PAGES: u64 = 64;
 const LOG_PAGES: u64 = 64;
@@ -360,22 +360,6 @@ proptest! {
     }
 }
 
-/// Four chips behind one shared ONFI-2 channel, no device buffer (the
-/// E13/E15 device): a flash force costs a segment program.
-fn figure1_device() -> SsdConfig {
-    SsdConfig {
-        shape: ArrayShape {
-            channels: 1,
-            chips_per_channel: 4,
-            luns_per_chip: 1,
-        },
-        channel: ChannelTiming::onfi2(),
-        placement: Placement::RoundRobin,
-        buffer: BufferConfig { capacity_pages: 0 },
-        ..SsdConfig::modern()
-    }
-}
-
 /// E15's shape: four uniformly drawn pages per transaction, 80 % of
 /// the accesses dirty, 256 log bytes each.
 fn commit_heavy_inputs(count: usize, pages: u64, seed: u64) -> Vec<TxnInput> {
@@ -414,7 +398,7 @@ fn parked_forces_keep_immediate_commits_independent() {
             .concurrency(qd)
             .wal(wal);
         let mut one = ShardedDb::new(
-            vec![b.build_stack(StackConfig::bare(1), figure1_device())],
+            vec![b.build_stack(StackConfig::bare(1), SsdConfig::figure1())],
             PAGES,
         );
         one.run(&inputs, &b.exec_config())

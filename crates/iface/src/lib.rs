@@ -28,10 +28,11 @@
 //!   workload through each and vary nothing but the interface. Upcall
 //!   delivery is a trait method — empty for block devices, which is the
 //!   paper's complaint rendered as a type signature.
-//! * [`qpair::NamelessQueuePair`] — nameless commands through the
-//!   batched-doorbell discipline of the queue-pair engine, so the
-//!   cooperating-logs storage manager (E14) drives the device at queue
-//!   depth with typed [`requiem_sim::IoStatus`] on every completion.
+//!
+//! There is no nameless queue pair: `requiem-ssd`'s `QueuePair` serves
+//! both naming schemes, keyed by the host tag instead of the LBA on a
+//! nameless device (`QueuePair::submit_with`), and the cooperating-logs
+//! storage manager (E14) reads through it at queue depth.
 //!
 //! Experiments E5, E6, E8 and E14 quantify what each mechanism buys.
 
@@ -42,7 +43,6 @@ pub mod atomic;
 pub mod comm;
 pub mod device;
 pub mod nameless;
-pub mod qpair;
 
 pub use atomic::ExtendedSsd;
 pub use comm::{Upcall, UpcallQueue};
@@ -51,4 +51,3 @@ pub use device::{
     UpdateOutcome,
 };
 pub use nameless::{NamelessCompletion, NamelessConfig, NamelessError, NamelessSsd, PhysName};
-pub use qpair::{NamelessCmd, NamelessCqe, NamelessQueuePair};

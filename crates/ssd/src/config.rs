@@ -186,6 +186,26 @@ impl SsdConfig {
         }
     }
 
+    /// The paper's Figure 1 device: four chips behind one shared ONFI-2
+    /// channel, round-robin placement, no write buffer. A page transfer
+    /// (~100 µs) is comparable to a page read (50 µs), so reads are
+    /// channel-bound and writes chip-bound; every unit of parallelism a
+    /// host extracts must come from keeping independent commands in
+    /// flight.
+    pub fn figure1() -> Self {
+        SsdConfig {
+            shape: ArrayShape {
+                channels: 1,
+                chips_per_channel: 4,
+                luns_per_chip: 1,
+            },
+            channel: ChannelTiming::onfi2(),
+            placement: Placement::RoundRobin,
+            buffer: BufferConfig { capacity_pages: 0 },
+            ..Self::modern()
+        }
+    }
+
     /// The pre-2009 block-mapped device: 2 channels × 2 chips, ONFI-2 bus,
     /// no buffer, static placement.
     pub fn circa_2009_block() -> Self {

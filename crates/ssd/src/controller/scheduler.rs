@@ -505,7 +505,8 @@ impl Ssd {
     }
 
     /// Program `phys` with the tag for `lpn`.
-    /// [`SsdError::ProgramFailed`] = wear-induced program failure
+    /// [`SsdError::ProgramFailed`] = wear-induced program failure, after
+    /// the attempt occupied the LUN for its tPROG
     /// (`append_page` salvages the block and retries elsewhere;
     /// fixed-offset FTLs collapse it via [`SsdError::full_on`]).
     pub(crate) fn op_program(
@@ -534,9 +535,13 @@ impl Ssd {
             lpn: lpn.0,
             seq: self.oob_seq,
         };
-        let dur = match self.luns[li].program(phys.addr, oob) {
-            Ok(o) => o.duration,
-            Err(FlashError::ProgramFailed { .. }) => return Err(SsdError::ProgramFailed { phys }),
+        let (dur, failed) = match self.luns[li].program(phys.addr, oob) {
+            Ok(o) => (o.duration, false),
+            // the chip reports the failure only once the attempt ends:
+            // it held the LUN for the whole tPROG
+            Err(FlashError::ProgramFailed { .. }) => {
+                (self.cfg.flash.timing.program(phys.addr.page), true)
+            }
             Err(e) => {
                 return Err(SsdError::FlashProtocol {
                     op: "program",
@@ -546,10 +551,13 @@ impl Ssd {
             }
         };
         let g = self.sched.lun_res[li].reserve_tagged(start, dur, occ);
-        self.metrics.flash_programs.bump(cause);
         self.sched
             .emit_lun_op_spans(li, start, g, Cause::CellProgram);
         self.sched.trace_lun(li, g.start, g.end, 'P');
+        if failed {
+            return Err(SsdError::ProgramFailed { phys, at: g.end });
+        }
+        self.metrics.flash_programs.bump(cause);
         Ok(g.end)
     }
 
@@ -695,7 +703,7 @@ impl Ssd {
     /// blocks whose programs fail.
     pub(crate) fn append_page(
         &mut self,
-        t: SimTime,
+        mut t: SimTime,
         lun: LunId,
         stream: Stream,
         lpn: Lpn,
@@ -730,10 +738,12 @@ impl Ssd {
             };
             match self.op_program(t, np.phys, lpn, use_channel, cause) {
                 Ok(end) => return Ok((np.phys, end)),
-                Err(SsdError::ProgramFailed { .. }) => {
+                Err(SsdError::ProgramFailed { at, .. }) => {
                     // wear-induced failure: salvage live pages, retire
-                    // block, and retry the write in a fresh stripe
+                    // block, and retry the write in a fresh stripe, all
+                    // from the instant the failed attempt ended
                     self.metrics.recovery.program_salvages += 1;
+                    t = at;
                     self.salvage_and_retire(np.phys.lun, np.phys.addr, t);
                     continue;
                 }

@@ -86,6 +86,9 @@ pub enum SsdError {
     ProgramFailed {
         /// The page whose program failed.
         phys: PhysPage,
+        /// When the failed attempt released its LUN (it still took a
+        /// full tPROG).
+        at: SimTime,
     },
     /// The controller issued a flash command the chip refused
     /// (out-of-range address, rewrite of a programmed page, erase of a
@@ -134,7 +137,7 @@ impl std::fmt::Display for SsdError {
                 write!(f, "lpn {} out of range (exported {})", lpn.0, exported)
             }
             SsdError::DeviceFull { lun } => write!(f, "no usable space left on lun {}", lun.0),
-            SsdError::ProgramFailed { phys } => {
+            SsdError::ProgramFailed { phys, .. } => {
                 write!(f, "program failed at {:?} on lun {}", phys.addr, phys.lun.0)
             }
             SsdError::FlashProtocol { op, lun, detail } => {

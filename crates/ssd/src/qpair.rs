@@ -35,11 +35,21 @@
 //!   the completion heap breaks `done` ties in submission order.
 //! * Commands to different LBAs complete in whatever order the device
 //!   finishes them — the whole point of queue depth.
+//!
+//! ## Both naming schemes
+//!
+//! [`submit`](QueuePair::submit) serves a block command on a page-mapped
+//! [`Ssd`]. [`submit_with`](QueuePair::submit_with) runs the same
+//! discipline around any device call, which is how a nameless device's
+//! reads go through one queue pair too: there the hazard key in
+//! `IoRequest::lba` is the host tag, so a page's read never overtakes
+//! an earlier command on the same page.
 
 use requiem_sim::cmd::{CommandId, IoCompletion, IoOp, IoRequest};
 use requiem_sim::completion::{CompletionHeap, InflightWindow};
-use requiem_sim::probe::{Cause, Layer};
+use requiem_sim::probe::{Cause, Layer, Probe};
 use requiem_sim::time::SimTime;
+use requiem_sim::IoStatus;
 
 use crate::addr::Lpn;
 use crate::device::{Completion, Ssd, SsdError};
@@ -133,6 +143,29 @@ impl QueuePair {
         now: SimTime,
         req: IoRequest,
     ) -> Result<CommandId, SsdError> {
+        let probe = ssd.probe().clone();
+        self.submit_with(&probe, now, req, |at| {
+            ssd.dispatch(at, req).map(|c| (c.done, c.status))
+        })
+    }
+
+    /// Submit one command whose device work `serve` performs: the
+    /// window admits it, `serve(admit)` runs it and returns its
+    /// completion instant and status, and the completion joins the CQ.
+    /// `req.lba` is the hazard key (the LBA on a block device, the host
+    /// tag on a nameless one) and `req.tag` is echoed as in
+    /// [`submit`](QueuePair::submit).
+    ///
+    /// An `Err` from `serve` aborts the command's probe record and
+    /// queues no completion; a refusal that should hold its window slot
+    /// returns `Ok` with [`IoStatus::Rejected`] instead.
+    pub fn submit_with<E>(
+        &mut self,
+        probe: &Probe,
+        now: SimTime,
+        req: IoRequest,
+        serve: impl FnOnce(SimTime) -> Result<(SimTime, IoStatus), E>,
+    ) -> Result<CommandId, E> {
         let tag = if req.tag.is_unassigned() {
             self.next_tag += 1;
             CommandId(self.next_tag)
@@ -140,15 +173,14 @@ impl QueuePair {
             req.tag
         };
         let admit = self.window.admit(now, req.lba);
-        let probe = ssd.probe().clone();
         let scope = probe.open_command(req.op.as_str(), now);
         let id = scope.id();
         if admit > now {
-            // SQ residency: waiting for a window slot (or a same-LBA
+            // SQ residency: waiting for a window slot (or a same-key
             // predecessor). Charged as host-visible queueing.
             probe.span(Layer::Block, Cause::Queue, "sq", now, admit);
         }
-        let c = match ssd.dispatch(admit, req) {
+        let (done, status) = match serve(admit) {
             Ok(c) => c,
             Err(e) => {
                 // abort the probe command explicitly: the record is
@@ -157,17 +189,17 @@ impl QueuePair {
                 return Err(e);
             }
         };
-        self.window.commit(admit, req.lba, c.done);
-        scope.close(c.done);
+        self.window.commit(admit, req.lba, done);
+        scope.close(done);
         self.cq.push(
-            c.done,
+            done,
             IoCompletion {
                 tag,
                 op: req.op,
                 lba: req.lba,
                 submitted: now,
-                done: c.done,
-                status: c.status,
+                done,
+                status,
                 spans: probe.command_span_count(id),
             },
         );
@@ -199,7 +231,6 @@ impl QueuePair {
 mod tests {
     use super::*;
     use crate::config::SsdConfig;
-    use requiem_sim::probe::Probe;
 
     fn small_ssd() -> Ssd {
         let mut cfg = SsdConfig::modern();

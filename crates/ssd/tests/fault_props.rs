@@ -220,3 +220,43 @@ fn unrecoverable_reads_tile_their_latency() {
     let statuses = probe.summary().statuses;
     assert_eq!(statuses.get("unrecoverable"), Some(&unrecoverable));
 }
+
+/// A program that fails still held its LUN for the whole tPROG: the
+/// write that hit it completes no earlier than a clean write plus one
+/// more tPROG (salvage and retry start when the failed attempt ends),
+/// and its spans still tile the latency.
+#[test]
+fn failed_program_occupies_its_lun_for_tprog() {
+    let cfg = |plan: FaultPlan| {
+        let mut cfg = small_cfg(plan);
+        cfg.shape.channels = 1;
+        cfg.shape.chips_per_channel = 1;
+        cfg
+    };
+    let clean = cfg(FaultPlan::none());
+    let tprog = clean.flash.timing.program(0);
+    let clean_done = Ssd::new(clean)
+        .write(SimTime::ZERO, Lpn(0))
+        .expect("write")
+        .done;
+
+    let mut ssd = Ssd::new(cfg(FaultPlan::none().with_program_fail(0, vec![0])));
+    let probe = Probe::recording();
+    ssd.attach_probe(probe.clone());
+    let c = ssd.write(SimTime::ZERO, Lpn(0)).expect("write");
+    assert_eq!(ssd.metrics().recovery.program_salvages, 1);
+    assert!(
+        c.done >= clean_done + tprog,
+        "failed program cost no tPROG: done {} vs clean {} + {}",
+        c.done,
+        clean_done,
+        tprog
+    );
+    let id = probe.commands_ref().last().expect("recorded").id;
+    let spans = assert_tiles(&probe, id);
+    let programs = spans
+        .iter()
+        .filter(|s| s.cause == Cause::CellProgram)
+        .count();
+    assert_eq!(programs, 2, "the failed attempt and the retry");
+}
